@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from math import isqrt as _isqrt
 from typing import Optional
+
+import numpy as np
 
 from . import _kernels
 
@@ -415,19 +417,73 @@ DEFAULT_TRIAL_BOUND = 10 ** 7
 DEFAULT_RHO_BUDGET = 40_000_000
 
 
+# odd numbers per sieve segment: the scan's working set stays O(segment +
+# sqrt(limit)) instead of holding every prime up to the trial bound
+_SIEVE_SEGMENT = 1 << 15
+# primes multiplied together before each fold into the running product mod n
+_PRIME_CHUNK = 32
+
+
+def _odd_primes_upto(r: int) -> list:
+    """Odd primes <= r by a plain sieve: the segmented sieve's base table."""
+    flags = np.ones(r + 1, dtype=bool)
+    flags[:3] = False
+    flags[4::2] = False
+    for p in range(3, _isqrt(r) + 1, 2):
+        if flags[p]:
+            flags[p * p::2 * p] = False
+    return np.flatnonzero(flags).tolist()
+
+
+def _odd_prime_segments(limit: int):
+    """Yield the odd primes in [3, limit] in increasing order, one list per
+    segment of _SIEVE_SEGMENT consecutive odd numbers."""
+    base = _odd_primes_upto(_isqrt(limit))
+    lo = 3
+    while lo <= limit:
+        size = min(_SIEVE_SEGMENT, (limit - lo) // 2 + 1)
+        hi = lo + 2 * size  # flags[i] stands for the odd number lo + 2*i < hi
+        flags = np.ones(size, dtype=bool)
+        for p in base:
+            if p * p >= hi:
+                break
+            # first odd multiple of p that is >= max(lo, p*p)
+            s = p * max(p, -(-lo // p) | 1)
+            flags[(s - lo) // 2::p] = False
+        yield (np.flatnonzero(flags) * 2 + lo).tolist()
+        lo = hi
+
+
 def _trial_square_scan(n: int, bound: int):
-    """(status, p, cofactor) as in the kernels, any bit length."""
+    """(status, p, cofactor) as in the kernels, any bit length.
+
+    status 0: p is the smallest prime <= bound with p*p | n.  status 1: no
+    such prime; the cofactor is 1, a prime, or n with each of its prime
+    factors <= bound divided out once.
+    """
     if n < _kernels.INT64_SAFE and bound < _kernels.INT64_SAFE:
         st, p, cof = _kernels.trial_square_scan_i64(n, bound)
         return int(st), int(p), int(cof)
-    # bignum path: plain loop, the modulus cost dominates anyway
-    d = 2
-    while d <= bound and d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0, d, n
-        d += 1 if d == 2 else 2
+    # bignum path (Bernstein's batching): fold each chunk's product of primes
+    # into a running product mod n; one gcd per segment then yields the
+    # product of that segment's primes dividing n, usually 1
+    if bound < 2:
+        return 1, 0, n
+    if n % 2 == 0:
+        n //= 2
+        if n % 2 == 0:
+            return 0, 2, n
+    for primes in _odd_prime_segments(min(bound, _isqrt(n))):
+        acc = 1
+        for i in range(0, len(primes), _PRIME_CHUNK):
+            acc = acc * prod(primes[i:i + _PRIME_CHUNK]) % n
+        g = gcd(acc, n)
+        if g > 1:
+            for p in primes:
+                if g % p == 0:
+                    n //= p
+                    if n % p == 0:
+                        return 0, p, n
     return 1, 0, n
 
 

@@ -39,6 +39,15 @@ class Verdict:
 
 _DEC_RE = re.compile(r"^-?\d+$")
 
+# Largest squarefree trial bound the verifier re-runs: the scan's work and its
+# sieve's base table grow with the bound, so a stated bound is capped here.
+MAX_TRIAL_BOUND = 10 ** 9
+
+
+def _is_int(v) -> bool:
+    """A JSON integer; bool is a subclass of int but never a valid count."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
 
 def _dec(obj, key, positive=True) -> int:
     v = obj.get(key)
@@ -261,27 +270,31 @@ def _parse_structure(obj) -> dict:
     if not isinstance(obj["sequence"], list) or not all(
             isinstance(u, str) and _DEC_RE.match(u) for u in obj["sequence"]):
         raise MalformedCertificate("sequence must be a list of decimal strings")
-    if not isinstance(obj["M"], int):
-        raise MalformedCertificate("M must be an integer")
+    if not _is_int(obj["M"]) or obj["M"] < 1:
+        raise MalformedCertificate("M must be an integer >= 1")
     sf = obj["squarefree"]
     if not isinstance(sf, dict) or "mode" not in sf or "verdict" not in sf:
         raise MalformedCertificate("squarefree block must carry mode and verdict")
     if sf["mode"] not in ("exact", "probable"):
         raise MalformedCertificate(f"unknown squarefree mode {sf['mode']!r}")
+    bound = sf.get("bound")
+    if not _is_int(bound) or not 2 <= bound <= MAX_TRIAL_BOUND:
+        raise MalformedCertificate(
+            f"squarefree bound must be an integer in [2, {MAX_TRIAL_BOUND}]")
     if not isinstance(obj["witnesses"], list) or not isinstance(obj["pairs"], list):
         raise MalformedCertificate("witnesses and pairs must be lists")
     for w in obj["witnesses"]:
-        if not isinstance(w, dict) or not isinstance(w.get("i"), int):
+        if not isinstance(w, dict) or not _is_int(w.get("i")):
             raise MalformedCertificate("witness entries need integer index i")
         _dec(w, "p")
         _dec(w, "q")
     for p in obj["pairs"]:
-        if not isinstance(p, dict) or not isinstance(p.get("i"), int) \
-                or not isinstance(p.get("j"), int) \
+        if not isinstance(p, dict) or not _is_int(p.get("i")) \
+                or not _is_int(p.get("j")) \
                 or not isinstance(p.get("violators"), list):
             raise MalformedCertificate("pair entries need i, j, violators")
     concl = obj["conclusion"]
-    if not isinstance(concl, dict) or not isinstance(concl.get("excluded_rank_le"), int) \
+    if not isinstance(concl, dict) or not _is_int(concl.get("excluded_rank_le")) \
             or not isinstance(concl.get("soundness"), str):
         raise MalformedCertificate("conclusion needs excluded_rank_le and soundness")
     return obj
@@ -367,10 +380,8 @@ def verify_certificate(obj) -> Verdict:
             return Verdict(False, f"pair ({i},{j}) has violators: {viol[:3]}")
 
     # squarefree recomputation (the expensive step, deliberately last)
-    mode = sf["mode"]
-    bound = int(sf.get("bound", 10 ** 7))
     try:
-        re_sf = squarefree_status(D, mode=mode, bound=bound)
+        re_sf = squarefree_status(D, mode=sf["mode"], bound=sf["bound"])
     except SquarefreeUndetermined:
         return Verdict(False, "squarefree status cannot be re-established")
     if re_sf.verdict != sf["verdict"]:

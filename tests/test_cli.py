@@ -134,3 +134,16 @@ def test_certify_verify_file_roundtrip_accepted(tmp_path, capsys, cert_m1):
     cert.write_text(cert_m1.dumps())
     code, out = run_cli(capsys, "verify", str(cert))
     assert code == 0 and "ACCEPTED" in out
+
+
+@pytest.mark.parametrize("bound,M", [("abc", 1), (10 ** 40, 1), (10 ** 7, -1)])
+def test_verify_malformed_integer_field_exit_code(tmp_path, capsys, cert_m1, bound, M):
+    obj = json.loads(cert_m1.dumps())
+    obj["squarefree"]["bound"] = bound
+    if M < 1:  # the shape that once crashed the verifier with an IndexError
+        obj.update(M=M, witnesses=[], pairs=[])
+        obj["conclusion"]["excluded_rank_le"] = M
+    cert = tmp_path / "bad.json"
+    cert.write_text(json.dumps(obj))
+    code, out = run_cli(capsys, "verify", str(cert))
+    assert code == 2 and "MALFORMED" in out

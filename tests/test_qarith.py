@@ -2,13 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadcert.qarith import (
+    _PRIME_CHUNK,
+    _SIEVE_SEGMENT,
     QuadElem,
     SquarefreeUndetermined,
+    _trial_square_scan,
     format_elem,
+    is_prime_proved,
     is_square,
     isqrt,
     parse_elem,
@@ -109,6 +113,84 @@ def test_squarefree_agrees_with_sieve():
     sf = set(squarefree_sieve(3000))
     for n in range(2, 3000):
         assert squarefree_status(n, mode="exact").proved == (n in sf), n
+
+
+_P62 = 2 ** 62 + 135  # the smallest prime above 2**62
+
+
+def test_squarefree_bignum_branch_agrees_with_sieve():
+    """m * P for a prime P > 2**62 takes the bignum scan; squarefree iff m is."""
+    from .conftest import squarefree_sieve
+
+    assert is_prime_proved(_P62)
+    sf = set(squarefree_sieve(3000))
+    for m in range(2, 3000):
+        assert squarefree_status(m * _P62, mode="exact", bound=1000).proved == (m in sf), m
+
+
+def _reference_trial_scan(n: int, bound: int):
+    """The bignum scan's former loop, kept as the oracle: one division per
+    odd d <= bound, stopping early once d*d exceeds what is left of n."""
+    d = 2
+    while d <= bound and d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0, d, n
+        d += 1 if d == 2 else 2
+    return 1, 0, n
+
+
+def _prev_prime(x: int) -> int:
+    while not is_prime_proved(x):
+        x -= 1
+    return x
+
+
+def _next_prime(x: int) -> int:
+    while not is_prime_proved(x):
+        x += 1
+    return x
+
+
+_SEGMENT_EDGE = 3 + 2 * _SIEVE_SEGMENT  # first odd number of the second segment
+_ODD_PRIMES = [p for p in range(3, 2000, 2) if is_prime_proved(p)]
+# primes on both sides of the sieve's first segment edge and first chunk edge
+_EDGE_PRIMES = [
+    _prev_prime(_SEGMENT_EDGE - 1), _next_prime(_SEGMENT_EDGE),
+    _ODD_PRIMES[_PRIME_CHUNK - 1], _ODD_PRIMES[_PRIME_CHUNK],
+]
+
+
+@given(
+    cofactor=st.integers(min_value=2 ** 62, max_value=2 ** 300),
+    bound=st.one_of(st.integers(-1, 2), st.integers(3, 3 * _SEGMENT_EDGE)),
+    plant=st.sampled_from(["none", "3", "edge", "largest<=bound", "smallest>bound"]),
+    edge=st.sampled_from(_EDGE_PRIMES),
+    hits=st.lists(st.sampled_from(_ODD_PRIMES[:40] + _EDGE_PRIMES), unique=True, max_size=3),
+)
+@example(cofactor=_P62, bound=3 * _SEGMENT_EDGE, plant="none", edge=3, hits=_EDGE_PRIMES[:3])
+@example(cofactor=_P62, bound=_SEGMENT_EDGE, plant="smallest>bound", edge=3, hits=[3, 5])
+@example(cofactor=_P62, bound=3 * _SEGMENT_EDGE, plant="edge", edge=_EDGE_PRIMES[1],
+         hits=[_EDGE_PRIMES[0]])
+@example(cofactor=_P62, bound=_EDGE_PRIMES[1], plant="largest<=bound", edge=3, hits=[])
+@settings(max_examples=150, deadline=None)
+def test_bignum_scan_matches_reference_loop(cofactor, bound, plant, edge, hits):
+    p = {"none": 1, "3": 3, "edge": edge,
+         "largest<=bound": _prev_prime(bound) if bound >= 2 else 1,
+         "smallest>bound": _next_prime(max(bound + 1, 2))}[plant]
+    n = cofactor * p * p
+    for q in hits:  # prime factors the scan must divide out once and step past
+        n *= q
+    st_new, w_new, cof_new = _trial_square_scan(n, bound)
+    st_ref, w_ref, cof_ref = _reference_trial_scan(n, bound)
+    assert (st_new, w_new) == (st_ref, w_ref)
+    if st_new == 1 and cof_new != cof_ref:
+        # only where the loop stopped early on d*d > n: what it left is a prime
+        # that the scan went on to divide out
+        assert cof_new == 1 and is_prime_proved(cof_ref)
+    if plant != "none" and 2 <= p <= bound:
+        assert st_new == 0 and w_new <= p
 
 
 elem_strategy = st.tuples(

@@ -112,3 +112,52 @@ def test_rejects_laundered_refuted_certificate(cert_refuted_13):
     v = verify_certificate(obj)
     assert not v.accepted
     assert "violators" in v.reason
+
+
+def _set(path, value):
+    def mutate(obj):
+        *outer, last = path
+        for key in outer:
+            obj = obj[key]
+        obj[last] = value
+    return mutate
+
+
+def _drop_bound(obj):
+    del obj["squarefree"]["bound"]
+
+
+def _negative_rank(obj):
+    obj["M"] = -1
+    obj["witnesses"] = []
+    obj["pairs"] = []
+    obj["conclusion"]["excluded_rank_le"] = -1
+
+
+@pytest.mark.parametrize("mutate", [
+    _set(("squarefree", "bound"), "abc"),
+    _set(("squarefree", "bound"), True),       # a JSON bool is not an integer
+    _set(("squarefree", "bound"), 10 ** 40),   # beyond the cap: unbounded work
+    _set(("squarefree", "bound"), 1),          # below the floor
+    _drop_bound,
+    _set(("M",), True),
+    _set(("M",), 0),
+    _negative_rank,           # M = -1 once indexed an empty witness list
+    _set(("witnesses", 0, "i"), True),
+    _set(("pairs", 0, "i"), True),
+    _set(("pairs", 0, "j"), False),
+    _set(("conclusion", "excluded_rank_le"), True),
+], ids=["bound-str", "bound-bool", "bound-huge", "bound-1", "bound-missing",
+        "M-bool", "M-zero", "M-negative", "witness-i-bool", "pair-i-bool",
+        "pair-j-bool", "rank-bool"])
+def test_malformed_integer_fields(cert_m1, mutate):
+    obj = copy.deepcopy(cert_m1.to_json())
+    mutate(obj)
+    with pytest.raises(MalformedCertificate):
+        verify_certificate(obj)
+
+
+def test_bound_floor_is_well_formed(cert_m1):
+    obj = copy.deepcopy(cert_m1.to_json())
+    obj["squarefree"]["bound"] = 2  # a weaker but true claim still verifies
+    assert verify_certificate(obj).accepted
