@@ -1,12 +1,5 @@
-"""Hot integer kernels: numba @njit fast path, pure-numpy fallback.
+"""Hot int64 kernels, written with numpy.
 
-The active backend is chosen by the QUADCERT_BACKEND environment variable:
-
-    QUADCERT_BACKEND=numba   @njit kernels (default whenever numba imports)
-    QUADCERT_BACKEND=numpy   vectorized numpy fallbacks
-
-Both implementations stay importable (IMPLS) so the tests can assert
-equivalence and bench/bench_kernels.py can time them against each other.
 Only machine-word work lives here: surd period computation, trial-division
 scans and the small-norm window/naive scans, all guarded to int64 range by
 the callers.  Certificate arithmetic is arbitrary precision and never
@@ -15,35 +8,12 @@ enters this module.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_env = os.environ.get("QUADCERT_BACKEND", "").strip().lower()
-if _env not in ("", "numba", "numpy"):
-    raise RuntimeError(f"QUADCERT_BACKEND must be 'numba' or 'numpy', got {_env!r}")
-
-_HAVE_NUMBA = False
-if _env != "numpy":
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _env == "numba":
-            raise
-        _HAVE_NUMBA = False
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
+BACKEND = "numpy"
 
 # largest value the int64 kernels accept; callers fall back to bignum paths
 INT64_SAFE = 1 << 62
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _isqrt64(n):
@@ -57,13 +27,9 @@ def _isqrt64(n):
     return x
 
 
-if _HAVE_NUMBA:
-    # jitted helpers stay callable from plain Python as well
-    _gcd = njit(cache=True)(_gcd)
-    _isqrt64 = njit(cache=True)(_isqrt64)
-
-
-def _surd_period_impl(D, k, out):
+def surd_period_i64(D: int, k: int, out: np.ndarray) -> int:
+    """Write the period of sqrt(D) (k = isqrt(D)) into out; its length, or
+    -1 when out is too short."""
     m, d, a = 0, 1, k
     n = 0
     cap = out.shape[0]
@@ -79,86 +45,11 @@ def _surd_period_impl(D, k, out):
             return n
 
 
-def _trial_square_scan_impl(n, bound):
+def trial_square_scan_i64(n: int, bound: int):
     """Remove each prime factor <= bound once; detect a repeated one.
 
     Returns (status, p, cofactor): status 0 -> p*p divides the input;
     status 1 -> clean scan."""
-    d = 2
-    while d <= bound and d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0, d, n
-        d += 1 if d == 2 else 2
-    return 1, 0, n
-
-
-def _smallnorm_window_impl(D, y_max, T, pad, parity, xs, ys, ns):
-    """x near y*sqrt(D) keeping 0 < |N| <= T; N = x^2 - D y^2.
-
-    T is the exact integer threshold precomputed by the caller (so the
-    kernel never forms products that could overflow int64); parity=1
-    restricts to odd x, odd y (half-integer elements).  Writes into the
-    preallocated arrays and returns the total count — rebinding growing
-    arrays inside the jitted loop costs a factor ~40, so the (rare)
-    overflow case is handled by the wrapper re-calling with more room.
-    """
-    cap = xs.shape[0]
-    cnt = 0
-    for y in range(1, y_max + 1):
-        if parity == 1 and y % 2 == 0:
-            continue
-        t = D * y * y
-        x0 = _isqrt64(t)
-        lo = x0 - pad
-        if lo < 1:
-            lo = 1
-        for x in range(lo, x0 + pad + 1):
-            if parity == 1 and x % 2 == 0:
-                continue
-            N = x * x - t
-            if N == 0:
-                continue
-            if -T <= N <= T and _gcd(x, y) == 1:
-                if cnt < cap:
-                    xs[cnt] = x
-                    ys[cnt] = y
-                    ns[cnt] = N
-                cnt += 1
-    return cnt
-
-
-def _smallnorm_naive_impl(D, y_max, T, parity, xs, ys, ns):
-    """Reference full (x, y) double loop; deliberately no window trick.
-
-    Same preallocated-output protocol as the window scan."""
-    cap = xs.shape[0]
-    cnt = 0
-    for y in range(1, y_max + 1):
-        if parity == 1 and y % 2 == 0:
-            continue
-        t = D * y * y
-        x_hi = _isqrt64(t + T) + 1  # beyond this N = x^2 - t exceeds T
-        for x in range(1, x_hi + 1):
-            N = x * x - t
-            if N > T:
-                break
-            if N != 0 and -T <= N and (parity == 0 or x % 2 == 1):
-                if _gcd(x, y) == 1:
-                    if cnt < cap:
-                        xs[cnt] = x
-                        ys[cnt] = y
-                        ns[cnt] = N
-                    cnt += 1
-    return cnt
-
-
-# ---------------------------------------------------------------------------
-# numpy backend (vectorized where the loop structure allows)
-# ---------------------------------------------------------------------------
-
-def _np_trial_square_scan(n, bound):
     CHUNK = 1 << 16
     n = int(n)
     if n % 2 == 0:
@@ -173,17 +64,24 @@ def _np_trial_square_scan(n, bound):
             break
         hits = ds[n % ds == 0]
         for dv in hits.tolist():
-            if dv * dv > n:  # same stop rule as the scalar scan
+            if dv * dv > n:  # the cofactor shrank below this divisor's square
                 return 1, 0, n
             if n % dv == 0:  # smaller hits may have divided this out already
                 n //= dv
                 if n % dv == 0:
-                    return 0, int(dv), n
+                    return 0, dv, n
         d = hi + 2
     return 1, 0, n
 
 
-def _np_smallnorm_window(D, y_max, T, pad, parity):
+def smallnorm_window_i64(D, y_max, T, pad, parity):
+    """x near y*sqrt(D) keeping 0 < |N| <= T, N = x^2 - D y^2, gcd(x, y) = 1.
+
+    T is the exact integer threshold precomputed by the caller; parity=1
+    restricts to odd x, odd y (half-integer elements).  Returns (xs, ys, ns)
+    sorted by (y, x)."""
+    if T >= INT64_SAFE:
+        raise ValueError("threshold exceeds the int64 kernel range")
     ys_all = np.arange(1, y_max + 1, dtype=np.int64)
     if parity == 1:
         ys_all = ys_all[ys_all % 2 == 1]
@@ -211,13 +109,18 @@ def _np_smallnorm_window(D, y_max, T, pad, parity):
     return xs[order], ys[order], ns[order]
 
 
-def _np_smallnorm_naive(D, y_max, T, parity):
+def smallnorm_naive_i64(D, y_max, T, parity):
+    """Reference full (x, y) scan; deliberately no window trick.
+
+    Same output format as smallnorm_window_i64, in (y, x) order."""
+    if T >= INT64_SAFE:
+        raise ValueError("threshold exceeds the int64 kernel range")
     xs_o, ys_o, ns_o = [], [], []
     for y in range(1, y_max + 1):
         if parity == 1 and y % 2 == 0:
             continue
         t = D * y * y
-        x_hi = _isqrt64(t + T) + 2
+        x_hi = _isqrt64(t + T) + 2  # beyond this N = x^2 - t exceeds T
         x = np.arange(1, x_hi + 1, dtype=np.int64)
         N = x * x - t
         ok = N != 0
@@ -232,61 +135,3 @@ def _np_smallnorm_naive(D, y_max, T, parity):
         z = np.array([], dtype=np.int64)
         return z, z, z
     return np.concatenate(xs_o), np.concatenate(ys_o), np.concatenate(ns_o)
-
-
-def _prealloc_wrap(raw, n_fixed_args):
-    """Uniform array-returning interface over the count-protocol kernels."""
-
-    def call(*args):
-        est = 1024
-        while True:
-            xs = np.empty(est, dtype=np.int64)
-            ys = np.empty(est, dtype=np.int64)
-            ns = np.empty(est, dtype=np.int64)
-            cnt = int(raw(*args, xs, ys, ns))
-            if cnt <= est:
-                return xs[:cnt], ys[:cnt], ns[:cnt]
-            est = cnt + 16
-
-    return call
-
-
-IMPLS = {
-    "numpy": {
-        "surd_period": _surd_period_impl,
-        "trial_square_scan": _np_trial_square_scan,
-        "smallnorm_window": _np_smallnorm_window,
-        "smallnorm_naive": _np_smallnorm_naive,
-    }
-}
-
-if _HAVE_NUMBA:
-    IMPLS["numba"] = {
-        "surd_period": njit(cache=True)(_surd_period_impl),
-        "trial_square_scan": njit(cache=True)(_trial_square_scan_impl),
-        "smallnorm_window": _prealloc_wrap(njit(cache=True)(_smallnorm_window_impl), 5),
-        "smallnorm_naive": _prealloc_wrap(njit(cache=True)(_smallnorm_naive_impl), 4),
-    }
-
-_ACTIVE = IMPLS[BACKEND]
-
-
-def surd_period_i64(D: int, k: int, out: np.ndarray) -> int:
-    return int(_ACTIVE["surd_period"](D, k, out))
-
-
-def trial_square_scan_i64(n: int, bound: int):
-    st, p, cof = _ACTIVE["trial_square_scan"](n, bound)
-    return int(st), int(p), int(cof)
-
-
-def smallnorm_window_i64(D, y_max, T, pad, parity):
-    if T >= INT64_SAFE:
-        raise ValueError("threshold exceeds the int64 kernel range")
-    return _ACTIVE["smallnorm_window"](D, y_max, T, pad, parity)
-
-
-def smallnorm_naive_i64(D, y_max, T, parity):
-    if T >= INT64_SAFE:
-        raise ValueError("threshold exceeds the int64 kernel range")
-    return _ACTIVE["smallnorm_naive"](D, y_max, T, parity)

@@ -3,8 +3,8 @@
 Subcommands: cf, friesen-check, friesen-search, construct, certify, verify,
 smallnorm, power-trace, represent, tp-list.  Every subcommand takes --json;
 JSON output echoes the effective configuration, is canonically sorted, and
-is independent of --threads.  Exit codes: 0 success/accepted, 1 rejected
-(verify), 2 usage or malformed input.
+is independent of --threads, which only certify uses.  Exit codes: 0
+success/accepted, 1 rejected (verify), 2 usage or malformed input.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import sys
 import warnings
 from fractions import Fraction
 
-from . import _kernels
 from .certify import (
     build_certificate,
     decide_represent,
@@ -43,7 +42,6 @@ def _emit(args, payload: dict, text_lines) -> None:
         payload["config"] = {
             "command": args.command,
             "threads": args.threads,
-            "backend": _kernels.BACKEND,
             "factor_budget": args.factor_budget,
         }
         print(json.dumps(payload, indent=1, sort_keys=True))
@@ -110,7 +108,7 @@ def cmd_friesen_search(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the warn line above already says it
         hits = search_k(seq, (lo, hi), sf_mode=mode, sf_bound=bound,
-                        rho_budget=args.factor_budget, threads=args.threads)
+                        rho_budget=args.factor_budget)
     payload = {
         "sequence": [str(u) for u in seq.values],
         "k_range": [lo, hi],
@@ -267,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     ap.add_argument("--threads", type=int, default=_default_threads(),
-                    help="worker threads (default from QUADCERT_THREADS)")
+                    help="worker threads for certify's pair checks "
+                         "(default from QUADCERT_THREADS)")
     ap.add_argument("--factor-budget", type=int, default=40_000_000,
                     dest="factor_budget", help="rho iteration budget")
     sub = ap.add_subparsers(dest="command", required=True)

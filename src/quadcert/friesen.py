@@ -17,7 +17,6 @@ solves for D, and then trusts nothing but the expand_sqrt round trip.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil, gcd
 from typing import List, Optional, Tuple
@@ -161,7 +160,6 @@ def search_k(
     sf_mode: str = "exact",
     sf_bound: int = 10 ** 7,
     rho_budget: int = 40_000_000,
-    threads: int = 1,
 ) -> List[FieldHit]:
     """All k in [k_range[0], k_range[1]] with a derive_D success.
 
@@ -184,24 +182,17 @@ def search_k(
         return []
     k0, m = prog
     first = k0 if k0 >= lo else k0 + ((lo - k0 + m - 1) // m) * m
-    candidates = list(range(first, hi + 1, m))
-
-    def probe(k: int) -> Optional[FieldHit]:
+    hits = []
+    for k in range(first, hi + 1, m):
         D = derive_D(k, seq)
         if D is None:
-            return None
+            continue
         try:
             sf = squarefree_status(D, mode=sf_mode, bound=sf_bound, rho_budget=rho_budget)
         except SquarefreeUndetermined:
             sf = SquarefreeStatus("undetermined", bound=sf_bound, mode=sf_mode)
-        return FieldHit(k=k, D=D, squarefree=sf, roundtrip_verified=True)
-
-    if threads > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(probe, candidates))
-    else:
-        results = [probe(k) for k in candidates]
-    return sorted((h for h in results if h is not None), key=lambda h: h.k)
+        hits.append(FieldHit(k=k, D=D, squarefree=sf, roundtrip_verified=True))
+    return hits
 
 
 def _symmetric_fill(core: List[int], s: int) -> Tuple[int, ...]:

@@ -173,22 +173,6 @@ def conjugate(x: QuadElem) -> QuadElem:
     return x.conjugate()
 
 
-def add(x: QuadElem, y: QuadElem) -> QuadElem:
-    return x + y
-
-
-def sub(x: QuadElem, y: QuadElem) -> QuadElem:
-    return x - y
-
-
-def mul(x: QuadElem, y: QuadElem) -> QuadElem:
-    return x * y
-
-
-def pow_elem(x: QuadElem, m: int) -> QuadElem:
-    return x ** m
-
-
 def sign(x: QuadElem) -> int:
     return x.sign()
 

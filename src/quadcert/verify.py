@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, isqrt
@@ -49,11 +50,22 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _int(text: str, what: str) -> int:
+    """int() of a string that matches _DEC_RE, whose only failure is
+    Python's int/str digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedCertificate(
+            f"{what} exceeds Python's int/str conversion limit of "
+            f"{sys.get_int_max_str_digits()} digits") from None
+
+
 def _dec(obj, key, positive=True) -> int:
     v = obj.get(key)
     if not isinstance(v, str) or not _DEC_RE.match(v):
         raise MalformedCertificate(f"field {key!r} must be a decimal string")
-    n = int(v)
+    n = _int(v, f"field {key!r}")
     if positive and n < 1:
         raise MalformedCertificate(f"field {key!r} must be positive")
     return n
@@ -257,7 +269,7 @@ def _parse_structure(obj) -> dict:
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also the digit limit, deep nesting
             raise MalformedCertificate(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedCertificate("certificate must be a JSON object")
@@ -265,7 +277,7 @@ def _parse_structure(obj) -> dict:
                 "witnesses", "pairs", "conclusion"):
         if key not in obj:
             raise MalformedCertificate(f"missing field {key!r}")
-    if obj["version"] != 1:
+    if not _is_int(obj["version"]) or obj["version"] != 1:
         raise MalformedCertificate(f"unsupported version {obj['version']!r}")
     if not isinstance(obj["sequence"], list) or not all(
             isinstance(u, str) and _DEC_RE.match(u) for u in obj["sequence"]):
@@ -293,6 +305,8 @@ def _parse_structure(obj) -> dict:
                 or not _is_int(p.get("j")) \
                 or not isinstance(p.get("violators"), list):
             raise MalformedCertificate("pair entries need i, j, violators")
+        if not _is_int(p.get("candidates")) or p["candidates"] < 0:
+            raise MalformedCertificate("pair candidates must be an integer >= 0")
     concl = obj["conclusion"]
     if not isinstance(concl, dict) or not _is_int(concl.get("excluded_rank_le")) \
             or not isinstance(concl.get("soundness"), str):
@@ -306,7 +320,7 @@ def verify_certificate(obj) -> Verdict:
     obj = _parse_structure(obj)
     D = _dec(obj, "D")
     k = _dec(obj, "k")
-    seq = [int(u) for u in obj["sequence"]]
+    seq = [_int(u, "sequence entry") for u in obj["sequence"]]
     if any(u < 1 for u in seq):
         return Verdict(False, "sequence entries must be positive")
     if any(seq[t] != seq[len(seq) - 1 - t] for t in range(len(seq))):
@@ -348,6 +362,10 @@ def verify_certificate(obj) -> Verdict:
     idx = [w["i"] for w in wits]
     if any(i < 1 or i % 2 == 0 for i in idx) or sorted(set(idx)) != idx:
         return Verdict(False, f"witness indices must be distinct ascending odd: {idx}")
+    # generated witnesses lie within one period; the cap bounds the
+    # convergents built below
+    if idx[-1] > len(period):
+        return Verdict(False, f"witness index {idx[-1]} exceeds the period length {len(period)}")
     ps, qs = _v_convergents(k, period, idx[-1])
     for w in wits:
         i = w["i"]

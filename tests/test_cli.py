@@ -35,17 +35,10 @@ def test_friesen_check(capsys):
     assert code == 0 and "holds" in out
 
 
-def test_friesen_search_json_thread_stability(capsys):
-    outs = []
-    for threads in ("1", "3"):
-        code, out = run_cli(capsys, "--json", "--threads", threads,
-                            "friesen-search", "1", "--k", "1..6")
-        assert code == 0
-        obj = json.loads(out)
-        obj.pop("config")  # the echo reflects the thread setting, results must not
-        outs.append(json.dumps(obj, sort_keys=True))
-    assert outs[0] == outs[1]
-    obj = json.loads(outs[0])
+def test_friesen_search_json(capsys):
+    code, out = run_cli(capsys, "--json", "friesen-search", "1", "--k", "1..6")
+    assert code == 0
+    obj = json.loads(out)
     assert [h["D"] for h in obj["hits"]] == ["3", "8", "15", "24", "35", "48"]
 
 
@@ -136,6 +129,12 @@ def test_certify_verify_file_roundtrip_accepted(tmp_path, capsys, cert_m1):
     assert code == 0 and "ACCEPTED" in out
 
 
+def _verify_exit_code(tmp_path, capsys, obj):
+    cert = tmp_path / "bad.json"
+    cert.write_text(json.dumps(obj))
+    return run_cli(capsys, "verify", str(cert))
+
+
 @pytest.mark.parametrize("bound,M", [("abc", 1), (10 ** 40, 1), (10 ** 7, -1)])
 def test_verify_malformed_integer_field_exit_code(tmp_path, capsys, cert_m1, bound, M):
     obj = json.loads(cert_m1.dumps())
@@ -143,7 +142,18 @@ def test_verify_malformed_integer_field_exit_code(tmp_path, capsys, cert_m1, bou
     if M < 1:  # the shape that once crashed the verifier with an IndexError
         obj.update(M=M, witnesses=[], pairs=[])
         obj["conclusion"]["excluded_rank_le"] = M
-    cert = tmp_path / "bad.json"
-    cert.write_text(json.dumps(obj))
-    code, out = run_cli(capsys, "verify", str(cert))
+    code, out = _verify_exit_code(tmp_path, capsys, obj)
+    assert code == 2 and "MALFORMED" in out
+
+
+@pytest.mark.parametrize("candidates", [None, "garbage", True, -1],
+                         ids=["missing", "str", "bool", "negative"])
+def test_verify_malformed_candidates_exit_code(tmp_path, capsys, cert_m1, candidates):
+    obj = json.loads(cert_m1.dumps())
+    for p in obj["pairs"]:
+        if candidates is None:
+            del p["candidates"]
+        else:
+            p["candidates"] = candidates
+    code, out = _verify_exit_code(tmp_path, capsys, obj)
     assert code == 2 and "MALFORMED" in out

@@ -88,10 +88,10 @@ def test_search_parity_failing_sequence_has_no_hits():
         assert search_k(SymSequence((1, 1)), (1, 50), sf_mode="exact") == []
 
 
-def test_search_threads_deterministic():
-    a = search_k(SymSequence((1,)), (1, 40), sf_mode="exact", threads=1)
-    b = search_k(SymSequence((1,)), (1, 40), sf_mode="exact", threads=4)
-    assert a == b
+def test_search_seq1_hits_every_k():
+    hits = search_k(SymSequence((1,)), (1, 40), sf_mode="exact")
+    assert [h.k for h in hits] == list(range(1, 41))
+    assert all(h.D == h.k * h.k + 2 * h.k and h.roundtrip_verified for h in hits)
 
 
 def test_construct_m1_minimal_matches_expected_shape():

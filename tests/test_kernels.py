@@ -1,30 +1,15 @@
+from math import isqrt
+
 import numpy as np
-import pytest
 
 from quadcert import _kernels
 
-BACKENDS = sorted(_kernels.IMPLS)
-
 
 def test_active_backend_is_sane():
-    assert _kernels.BACKEND in BACKENDS
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_surd_period_backends(backend):
-    impl = _kernels.IMPLS[backend]["surd_period"]
-    from math import isqrt
-
-    for D in (2, 3, 13, 61, 94, 9949):
-        out = np.empty(4096, dtype=np.int64)
-        n = int(impl(D, isqrt(D), out))
-        ref = _reference_period(D)
-        assert list(out[:n]) == ref
+    assert _kernels.BACKEND == "numpy"
 
 
 def _reference_period(D):
-    from math import isqrt
-
     k = isqrt(D)
     m, d, a = 0, 1, k
     per = []
@@ -37,9 +22,15 @@ def _reference_period(D):
             return per
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_trial_square_scan_backends(backend):
-    impl = _kernels.IMPLS[backend]["trial_square_scan"]
+def test_surd_period_matches_reference():
+    for D in (2, 3, 13, 61, 94, 9949):
+        out = np.empty(4096, dtype=np.int64)
+        n = _kernels.surd_period_i64(D, isqrt(D), out)
+        assert list(out[:n]) == _reference_period(D)
+    assert _kernels.surd_period_i64(13, 3, np.empty(2, dtype=np.int64)) == -1
+
+
+def test_trial_square_scan_examples():
     cases = [
         (12, 100, (0, 2)),
         (10, 100, (1, 0)),
@@ -49,38 +40,17 @@ def test_trial_square_scan_backends(backend):
         (101 * 101 * 7, 1000, (0, 101)),
     ]
     for n, bound, (status, p) in cases:
-        st, got_p, cof = impl(n, bound)
-        assert (int(st), int(got_p)) == (status, p), (n, bound)
+        st, got_p, cof = _kernels.trial_square_scan_i64(n, bound)
+        assert (st, got_p) == (status, p), (n, bound)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_smallnorm_scans_match_reference(backend):
-    from math import isqrt
-
-    window = _kernels.IMPLS[backend]["smallnorm_window"]
-    naive = _kernels.IMPLS[backend]["smallnorm_naive"]
+def test_smallnorm_window_matches_naive():
     for D, parity in ((13, 0), (13, 1), (61, 1), (94, 0)):
         dd = 4 if parity else 1
         T = isqrt((dd * dd * D - 1) // 4)  # |N| < (den^2/2) sqrt(D)
         pad = 5
-        xs1, ys1, ns1 = window(D, 60, T, pad, parity)
-        xs2, ys2, ns2 = naive(D, 60, T, parity)
+        xs1, ys1, ns1 = _kernels.smallnorm_window_i64(D, 60, T, pad, parity)
+        xs2, ys2, ns2 = _kernels.smallnorm_naive_i64(D, 60, T, parity)
         a = sorted(zip(map(int, xs1), map(int, ys1), map(int, ns1)))
         b = sorted(zip(map(int, xs2), map(int, ys2), map(int, ns2)))
         assert a == b
-
-
-def test_backends_agree_with_each_other():
-    if len(BACKENDS) < 2:
-        pytest.skip("only one backend available")
-    a, b = (_kernels.IMPLS[k] for k in BACKENDS)
-    from math import isqrt
-
-    for D in (13, 61, 393):
-        T = isqrt((D - 1) // 4)
-        r1 = a["smallnorm_naive"](D, 100, T, 0)
-        r2 = b["smallnorm_naive"](D, 100, T, 0)
-        assert [list(map(int, v)) for v in r1] == [list(map(int, v)) for v in r2]
-        s1 = a["trial_square_scan"](2 ** 40 + 1, 10 ** 5)
-        s2 = b["trial_square_scan"](2 ** 40 + 1, 10 ** 5)
-        assert tuple(map(int, s1)) == tuple(map(int, s2))

@@ -1,9 +1,12 @@
 import copy
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadcert.verify import MalformedCertificate, verify_certificate
+from quadcert.verify import MalformedCertificate, Verdict, verify_certificate
 
 
 def test_accepts_m1(cert_m1):
@@ -127,6 +130,10 @@ def _drop_bound(obj):
     del obj["squarefree"]["bound"]
 
 
+def _drop_candidates(obj):
+    del obj["pairs"][0]["candidates"]
+
+
 def _negative_rank(obj):
     obj["M"] = -1
     obj["witnesses"] = []
@@ -147,9 +154,15 @@ def _negative_rank(obj):
     _set(("pairs", 0, "i"), True),
     _set(("pairs", 0, "j"), False),
     _set(("conclusion", "excluded_rank_le"), True),
+    _drop_candidates,
+    _set(("pairs", 0, "candidates"), "garbage"),
+    _set(("pairs", 0, "candidates"), True),
+    _set(("pairs", 0, "candidates"), -1),
+    _set(("version",), True),
 ], ids=["bound-str", "bound-bool", "bound-huge", "bound-1", "bound-missing",
         "M-bool", "M-zero", "M-negative", "witness-i-bool", "pair-i-bool",
-        "pair-j-bool", "rank-bool"])
+        "pair-j-bool", "rank-bool", "candidates-missing", "candidates-str",
+        "candidates-bool", "candidates-negative", "version-bool"])
 def test_malformed_integer_fields(cert_m1, mutate):
     obj = copy.deepcopy(cert_m1.to_json())
     mutate(obj)
@@ -161,3 +174,74 @@ def test_bound_floor_is_well_formed(cert_m1):
     obj = copy.deepcopy(cert_m1.to_json())
     obj["squarefree"]["bound"] = 2  # a weaker but true claim still verifies
     assert verify_certificate(obj).accepted
+
+
+@pytest.mark.parametrize("i", [10 ** 6, 10 ** 6 + 1])
+def test_rejects_witness_index_beyond_period(cert_m1, i):
+    obj = copy.deepcopy(cert_m1.to_json())
+    obj["witnesses"][-1]["i"] = i
+    t0 = time.perf_counter()
+    v = verify_certificate(obj)
+    assert time.perf_counter() - t0 < 1.0  # no convergent up to i is built
+    assert not v.accepted
+    if i % 2:
+        assert "exceeds the period length 8" in v.reason
+
+
+@pytest.mark.parametrize("mutate", [
+    _set(("D",), "9" * 5000),
+    _set(("witnesses", 0, "p"), "9" * 5000),
+    _set(("sequence", 0), "9" * 5000),
+], ids=["D", "witness-p", "sequence"])
+def test_malformed_beyond_digit_limit(cert_m1, mutate):
+    obj = copy.deepcopy(cert_m1.to_json())
+    mutate(obj)
+    with pytest.raises(MalformedCertificate, match="conversion limit"):
+        verify_certificate(obj)
+
+
+def test_malformed_unparsable_json_values():
+    with pytest.raises(MalformedCertificate):
+        verify_certificate('{"version": 1, "M": ' + "9" * 5000 + "}")
+    with pytest.raises(MalformedCertificate):
+        verify_certificate("[" * 100_000)
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key) in a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+_HOSTILE = [True, False, [], [1], {}, {"i": 1}, -1, "9" * 5000, 10 ** 6, 10 ** 6 + 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_fuzz_mutated_certificate_is_verdict_or_malformed(cert_m1, data):
+    """Any mutation of a valid certificate ends in a Verdict or in
+    MalformedCertificate, never another exception, and quickly."""
+    text = cert_m1.dumps()
+    obj = json.loads(text)
+    kind = data.draw(st.sampled_from(["drop", "replace", "truncate"]))
+    if kind == "truncate":
+        cert = text[:data.draw(st.integers(0, len(text) - 1))]
+    else:
+        outer, key = data.draw(st.sampled_from(list(_paths(obj))))
+        node = obj
+        for step in outer:
+            node = node[step]
+        if kind == "drop":
+            del node[key]
+        else:
+            node[key] = data.draw(st.sampled_from(_HOSTILE))
+        cert = obj
+    t0 = time.perf_counter()
+    try:
+        assert isinstance(verify_certificate(cert), Verdict)
+    except MalformedCertificate:
+        pass
+    assert time.perf_counter() - t0 < 5.0
