@@ -110,27 +110,39 @@ def smallnorm_window_i64(D, y_max, T, pad, parity):
 
 
 def smallnorm_naive_i64(D, y_max, T, parity):
-    """Reference full (x, y) scan; deliberately no window trick.
+    """Exhaustive norm-equation scan; deliberately no window trick.
 
-    Same output format as smallnorm_window_i64, in (y, x) order."""
-    if T >= INT64_SAFE:
-        raise ValueError("threshold exceeds the int64 kernel range")
+    For each y and each n with 0 < |n| <= T, s = D*y^2 + n is tested for
+    being a perfect square x^2 with x >= 1; every x with
+    0 < |x^2 - D y^2| <= T is found that way.  Same filters and output
+    format as smallnorm_window_i64, in (y, x) order.  Raises ValueError
+    unless D*y_max^2 + T < INT64_SAFE, so (x + 1)^2 cannot overflow."""
+    if D * y_max * y_max + T >= INT64_SAFE:
+        raise ValueError("D*y_max^2 + T exceeds the int64 kernel range")
+    ys_all = np.arange(1, y_max + 1, dtype=np.int64)
+    if parity == 1:
+        ys_all = ys_all[ys_all % 2 == 1]
+    n_all = np.arange(-T, T + 1, dtype=np.int64)
+    n_all = n_all[n_all != 0]
     xs_o, ys_o, ns_o = [], [], []
-    for y in range(1, y_max + 1):
-        if parity == 1 and y % 2 == 0:
-            continue
-        t = D * y * y
-        x_hi = _isqrt64(t + T) + 2  # beyond this N = x^2 - t exceeds T
-        x = np.arange(1, x_hi + 1, dtype=np.int64)
-        N = x * x - t
-        ok = N != 0
-        ok &= (N >= -T) & (N <= T)
+    block = max(1, (1 << 20) // max(1, n_all.size))  # cells per temporary
+    for lo in range(0, ys_all.size, block):
+        y = ys_all[lo:lo + block, None]
+        s = D * y * y + n_all
+        x = np.sqrt(np.maximum(s, 0).astype(np.float64)).astype(np.int64)
+        # the float root is within one of isqrt(s); the correction makes x
+        # exactly isqrt(s) without relying on IEEE rounding of the root
+        x -= x * x > s
+        x += (x + 1) * (x + 1) <= s
+        # row-major order is (y, n) order, and x grows with n within a row
+        row, col = np.nonzero((x * x == s) & (x >= 1))
+        xh, yh = x[row, col], y[row, 0]
+        ok = np.gcd(xh, yh) == 1
         if parity == 1:
-            ok &= x % 2 == 1
-        ok &= np.gcd(x, y) == 1
-        xs_o.append(x[ok])
-        ys_o.append(np.full(int(ok.sum()), y, dtype=np.int64))
-        ns_o.append(N[ok])
+            ok &= xh % 2 == 1
+        xs_o.append(xh[ok])
+        ys_o.append(yh[ok])
+        ns_o.append(n_all[col][ok])
     if not xs_o:
         z = np.array([], dtype=np.int64)
         return z, z, z

@@ -162,13 +162,18 @@ def cmd_certify(args) -> int:
     return 0 if cert.soundness != "refuted" else 1
 
 
+def _malformed(args, reason: str) -> int:
+    _emit(args, {"verdict": "malformed", "reason": reason}, [f"MALFORMED: {reason}"])
+    return 2
+
+
 def cmd_verify(args) -> int:
     try:
         verdict = verify_file(args.certificate)
     except MalformedCertificate as exc:
-        _emit(args, {"verdict": "malformed", "reason": str(exc)},
-              [f"MALFORMED: {exc}"])
-        return 2
+        return _malformed(args, str(exc))
+    except (OSError, UnicodeDecodeError) as exc:
+        return _malformed(args, f"cannot read certificate: {exc}")
     if verdict.accepted:
         _emit(args, {"verdict": "accepted"}, ["ACCEPTED"])
         return 0

@@ -9,6 +9,7 @@ elements alpha_i needs only positive multipliers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -101,10 +102,11 @@ def _window_scan_py(D, y_max, T, pad, parity):
 
 
 def naive_enumerate(D: int, bound, y_max: int) -> List[SmallNormElement]:
-    """Reference full (x, y) double-loop scan; no window shortcut.
+    """Reference exhaustive scan over the norm equation x^2 - D y^2 = n.
 
-    Kept deliberately independent of enumerate_small_norm so the two can
-    audit each other.
+    Every y <= y_max and every n with 0 < |n| <= T is tried; no window
+    shortcut.  Kept deliberately independent of enumerate_small_norm so
+    the two can audit each other.
     """
     bn2, bd2 = _norm_bound_parts(bound)
     out = []
@@ -112,30 +114,32 @@ def naive_enumerate(D: int, bound, y_max: int) -> List[SmallNormElement]:
         dd2 = den * den
         T = isqrt((bn2 * dd2 * dd2 * D - 1) // bd2)
         parity = 1 if den == 2 else 0
-        if D * (y_max + 3) ** 2 * 4 < _kernels.INT64_SAFE and T < _kernels.INT64_SAFE:
+        if D * y_max * y_max + T < _kernels.INT64_SAFE:
             xs, ys, ns = _kernels.smallnorm_naive_i64(D, y_max, T, parity)
             triples = [(int(x), int(y), int(n)) for x, y, n in zip(xs, ys, ns)]
         else:
-            triples = []
-            for y in range(1, y_max + 1):
-                if parity and y % 2 == 0:
-                    continue
-                t = D * y * y
-                x = 1
-                while True:
-                    n = x * x - t
-                    if n > T:
-                        break
-                    if n != 0 and -T <= n and (not parity or x % 2 == 1):
-                        if gcd(x, y) == 1:
-                            triples.append((x, y, n))
-                    x += 1
+            triples = _naive_scan_py(D, y_max, T, parity)
         for x, y, n in triples:
-            if den == 2 and x % 2 == 0:
-                continue
             out.append(SmallNormElement(QuadElem(D, x, y, den), n // dd2))
     out.sort(key=lambda e: (e.mu.b / Fraction(e.mu.den), e.mu.a))
     return out
+
+
+def _naive_scan_py(D, y_max, T, parity):
+    """Python-int form of _kernels.smallnorm_naive_i64, for any size."""
+    triples = []
+    for y in range(1, y_max + 1):
+        if parity and y % 2 == 0:
+            continue
+        t = D * y * y
+        for n in range(-T, T + 1):
+            s = t + n
+            if n == 0 or s < 1:
+                continue
+            x = math.isqrt(s)
+            if x * x == s and (not parity or x % 2 == 1) and gcd(x, y) == 1:
+                triples.append((x, y, n))
+    return triples
 
 
 # ---------------------------------------------------------------------------

@@ -157,3 +157,21 @@ def test_verify_malformed_candidates_exit_code(tmp_path, capsys, cert_m1, candid
             p["candidates"] = candidates
     code, out = _verify_exit_code(tmp_path, capsys, obj)
     assert code == 2 and "MALFORMED" in out
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+def test_verify_unreadable_path_exit_code(tmp_path, capsys, kind):
+    path = tmp_path / "cert.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non-utf8":
+        path.write_bytes(b'{"version": 1, "D": "\xff\xfe"}')
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "MALFORMED: cannot read certificate" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+    code = main(["--json", "verify", str(path)])
+    obj = json.loads(capsys.readouterr().out)
+    assert code == 2 and obj["verdict"] == "malformed"
+    assert obj["reason"].startswith("cannot read certificate")

@@ -1,8 +1,12 @@
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadcert import _kernels
+from quadcert.smallnorm import _naive_scan_py
 
 
 def test_active_backend_is_sane():
@@ -54,3 +58,80 @@ def test_smallnorm_window_matches_naive():
         a = sorted(zip(map(int, xs1), map(int, ys1), map(int, ns1)))
         b = sorted(zip(map(int, xs2), map(int, ys2), map(int, ns2)))
         assert a == b
+
+
+def _reference_naive_scan(D, y_max, T, parity):
+    """The former smallnorm_naive_i64: every x up to isqrt(D y^2 + T) + 2, per y."""
+    xs_o, ys_o, ns_o = [], [], []
+    for y in range(1, y_max + 1):
+        if parity == 1 and y % 2 == 0:
+            continue
+        t = D * y * y
+        x = np.arange(1, isqrt(t + T) + 3, dtype=np.int64)
+        N = x * x - t
+        ok = N != 0
+        ok &= (N >= -T) & (N <= T)
+        if parity == 1:
+            ok &= x % 2 == 1
+        ok &= np.gcd(x, y) == 1
+        xs_o.append(x[ok])
+        ys_o.append(np.full(int(ok.sum()), y, dtype=np.int64))
+        ns_o.append(N[ok])
+    if not xs_o:
+        return []
+    return _triples(np.concatenate(xs_o), np.concatenate(ys_o), np.concatenate(ns_o))
+
+
+def _triples(xs, ys, ns):
+    return list(zip(map(int, xs), map(int, ys), map(int, ns)))
+
+
+def _naive(D, y_max, T, parity):
+    return _triples(*_kernels.smallnorm_naive_i64(D, y_max, T, parity))
+
+
+_NONSQUARE = st.integers(2, 1999).filter(lambda D: isqrt(D) ** 2 != D)
+
+
+@given(D=_NONSQUARE, parity=st.sampled_from([0, 1]), y_max=st.integers(1, 80),
+       data=st.data())
+@example(D=13, parity=1, y_max=80, data=None)  # D ≡ 1 (mod 4)
+@example(D=1999, parity=0, y_max=80, data=None)  # D ≡ 3 (mod 4)
+@example(D=94, parity=0, y_max=1, data=None)
+@settings(max_examples=150, deadline=None)
+def test_naive_scan_matches_reference_loop(D, parity, y_max, data):
+    Ts = [0, isqrt(16 * D)] if data is None else [data.draw(st.integers(0, isqrt(16 * D)))]
+    for T in Ts:
+        got = _naive(D, y_max, T, parity)
+        assert got == _reference_naive_scan(D, y_max, T, parity)
+        if T == 0:
+            assert got == []
+
+
+@given(D=_NONSQUARE, parity=st.sampled_from([0, 1]), y_max=st.integers(1, 30),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_naive_scan_py_matches_kernel(D, parity, y_max, data):
+    T = data.draw(st.integers(0, isqrt(16 * D)))
+    got = _naive_scan_py(D, y_max, T, parity)
+    assert got == _naive(D, y_max, T, parity)
+    assert got == _reference_naive_scan(D, y_max, T, parity)
+
+
+def test_naive_scan_near_int64_limit():
+    m = (1 << 30) - 1
+    D, T = m * m + 1, 100  # D*2^2 + T < INT64_SAFE
+    got = _naive(D, 2, T, 0)
+    assert (m, 1, -1) in got and (2 * m, 2, -4) not in got  # gcd(2m, 2) = 2
+    assert got == _naive_scan_py(D, 2, T, 0)
+    assert all(gcd(x, y) == 1 and x * x - D * y * y == n for x, y, n in got)
+    edge = _kernels.INT64_SAFE - 1 - T  # D*y_max^2 + T == INT64_SAFE - 1
+    assert _naive(edge, 1, T, 0) == _naive_scan_py(edge, 1, T, 0)
+
+
+def test_naive_scan_rejects_int64_overflow():
+    T = 5
+    with pytest.raises(ValueError):
+        _kernels.smallnorm_naive_i64(_kernels.INT64_SAFE - T, 1, T, 0)
+    with pytest.raises(ValueError):
+        _kernels.smallnorm_naive_i64(2, isqrt(_kernels.INT64_SAFE // 2) + 1, 0, 1)
