@@ -502,16 +502,22 @@ def decide_represent(form: QuadraticForm, target: QuadElem) -> RepresentResult:
     # per-coordinate boxes
     from .qd import frac_sqrt_outer
 
-    candidates: List[List[QuadElem]] = []
-    for t in range(n):
+    def coordinate_box(t: int) -> Tuple[Fraction, Fraction]:
         th1 = (tgt * Binv[t][t]).upper_frac(24)
         th2 = (tgt.conj() * Binv[t][t].conj()).upper_frac(24)
-        S1 = frac_sqrt_outer(max(th1, Fraction(0)), 24)
-        S2 = frac_sqrt_outer(max(th2, Fraction(0)), 24)
-        pts = box_enumerate(D, S1, S2)
-        elems = [coords_to_elem(D, x, y) for x, y in pts]
-        elems.sort(key=lambda c: ((c * c).trace(), c.a, c.b))
-        candidates.append(elems)
+        return (frac_sqrt_outer(max(th1, Fraction(0)), 24),
+                frac_sqrt_outer(max(th2, Fraction(0)), 24))
+
+    # coordinates with the same box share one enumeration (and one list)
+    by_box: Dict[Tuple[Fraction, Fraction], List[QuadElem]] = {}
+    candidates: List[List[QuadElem]] = []
+    for t in range(n):
+        box = coordinate_box(t)
+        if box not in by_box:
+            elems = [coords_to_elem(D, x, y) for x, y in box_enumerate(D, *box)]
+            elems.sort(key=lambda c: ((c * c).trace(), c.a, c.b))
+            by_box[box] = elems
+        candidates.append(by_box[box])
 
     # Schur complements S_t for head length t = 1..n-1 (exact)
     schur: Dict[int, List[List[QD]]] = {}
@@ -594,14 +600,8 @@ def decide_represent(form: QuadraticForm, target: QuadElem) -> RepresentResult:
     if vec is not None:
         return RepresentResult("found", vec, counts, nodes)
     # recompute the exhaustion bounds before declaring impossibility
-    recheck = []
-    for t in range(n):
-        th1 = (tgt * Binv[t][t]).upper_frac(24)
-        th2 = (tgt.conj() * Binv[t][t].conj()).upper_frac(24)
-        S1 = frac_sqrt_outer(max(th1, Fraction(0)), 24)
-        S2 = frac_sqrt_outer(max(th2, Fraction(0)), 24)
-        recheck.append(len(box_enumerate(D, S1, S2)))
-    assert tuple(recheck) == counts
+    recheck = tuple(len(box_enumerate(D, *coordinate_box(t))) for t in range(n))
+    assert recheck == counts
     return RepresentResult("impossible", None, counts, nodes)
 
 

@@ -4,34 +4,34 @@ Target set: all c in O_K with |sigma_1(c)| <= S1 and |sigma_2(c)| <= S2 for
 positive rationals S1, S2, where c = x + y*omega over the integral basis
 {1, omega} (omega = sqrt(D), or (1+sqrt(D))/2 when D ≡ 1 mod 4).
 
-Two engines:
+One production engine, `box_enumerate_gauss`: Lagrange-reduce the basis
+under the box-normalized form F(c) = (sigma_1(c)/S1)^2 + (sigma_2(c)/S2)^2
+and Fincke-Pohst the ellipse F <= 2, which contains the whole box.  The
+reduction is a unimodular change of basis and every bound is an outer
+rational bound computed in exact Q(sqrt(D)) arithmetic, so completeness does
+not depend on how good the reduction is.  The certificate pair boxes are
+astronomically skewed (y-ranges ~2^67 with sub-unit widths); this engine
+visits O(1) candidates.
 
-* y-scan — walk y, intersect the two x-intervals with exact floors.  Fine
-  until the y-range gets large.
-
-* Gauss-reduced — Lagrange-reduce the basis under the box-normalized form
-  F(c) = (sigma_1(c)/S1)^2 + (sigma_2(c)/S2)^2 and Fincke-Pohst the ellipse
-  F <= 2, which contains the whole box.  The reduction is a unimodular
-  change of basis and every bound is an outer rational bound computed in
-  exact Q(sqrt(D)) arithmetic, so completeness does not depend on how good
-  the reduction is.  The certificate pair boxes are astronomically skewed
-  (y-ranges ~2^67 with sub-unit widths); this engine visits O(1) candidates.
+`box_enumerate_scan` walks y and intersects the two x-intervals with exact
+floors.  It is independent of the reduction and serves as the tests'
+cross-check on boxes with a small y-range; production never calls it.
 
 Candidates are yielded as (x, y) basis coordinates after an exact box
-membership test; callers apply their own exact predicates on top.
+membership test on integers; callers apply their own exact predicates on top.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 from .qarith import QuadElem, isqrt
-from .qd import QD, frac_sqrt_outer
+from .qd import QD, _sign_pair, frac_sqrt_outer
 
-# beyond this y-range the Gauss engine wins by orders of magnitude (the scan
-# pays exact Q(sqrt(D)) interval arithmetic per y, the reduced basis pays per
-# candidate line)
+# largest y-range the test cross-check `box_enumerate_scan` accepts: it pays
+# exact Q(sqrt(D)) interval arithmetic per y, where the Gauss engine pays per
+# candidate line
 YSCAN_LIMIT = 1500
 
 
@@ -49,15 +49,9 @@ def coords_to_elem(D: int, x: int, y: int) -> QuadElem:
     return QuadElem(D, x, y, 1)
 
 
-def _embedding_pair(D: int, x: int, y: int) -> Tuple[QD, QD]:
-    w = omega_basis(D)
-    c1 = QD(D, x) + w * y
-    return c1, c1.conj()
-
-
 def box_enumerate_scan(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, int]]:
-    """y-scan engine.  Exact interval intersection per y; raises if the
-    y-range exceeds YSCAN_LIMIT (use the Gauss engine there)."""
+    """y-scan engine, the tests' cross-check.  Exact interval intersection
+    per y; raises if the y-range exceeds YSCAN_LIMIT."""
     w = omega_basis(D)
     wc = w.conj()
     spread = w - wc  # sqrt(D) or 2 sqrt(D) ... positive
@@ -66,6 +60,7 @@ def box_enumerate_scan(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, in
         raise ValueError(f"y-range {y_hi} too large for the scan engine")
     nS1, pS1 = QD(D, Fraction(-S1)), QD(D, Fraction(S1))
     nS2, pS2 = QD(D, Fraction(-S2)), QD(D, Fraction(S2))
+    in_box = _in_box(D, S1, S2)
     out = []
     for y in range(-y_hi, y_hi + 1):
         # x in [-S1 - y w1, S1 - y w1] ∩ [-S2 - y w2, S2 - y w2]
@@ -77,15 +72,32 @@ def box_enumerate_scan(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, in
         hi2 = (pS2 - wcy).floor() + 1
         lo, hi = max(lo1, lo2) - 1, min(hi1, hi2) + 1
         for x in range(lo, hi + 1):
-            if _in_box(D, x, y, S1, S2):
+            if in_box(x, y):
                 out.append((x, y))
     out.sort()
     return out
 
 
-def _in_box(D: int, x: int, y: int, S1: Fraction, S2: Fraction) -> bool:
-    c1, c2 = _embedding_pair(D, x, y)
-    return abs(c1) <= QD(D, Fraction(S1)) and abs(c2) <= QD(D, Fraction(S2))
+def _in_box(D: int, S1: Fraction, S2: Fraction) -> Callable[[int, int], bool]:
+    """Exact membership test (x, y) -> |sigma_h(x + y*omega)| <= S_h, h = 1, 2.
+
+    With c = (A + B*sqrt(D))/den and S_h = p/q, |sigma_1(c)| <= p/q holds iff
+    den*p - q*A - q*B*sqrt(D) >= 0 and den*p + q*A + q*B*sqrt(D) >= 0; the
+    conjugate flips the sign of B.  Four integer sign tests, no QD objects.
+    """
+    half = D % 4 == 1
+    den = 2 if half else 1
+    S1, S2 = Fraction(S1), Fraction(S2)
+    P1, q1 = den * S1.numerator, S1.denominator
+    P2, q2 = den * S2.numerator, S2.denominator
+
+    def in_box(x: int, y: int) -> bool:
+        A = 2 * x + y if half else x
+        a1, b1, a2, b2 = q1 * A, q1 * y, q2 * A, q2 * y
+        return (_sign_pair(P1 - a1, -b1, D) >= 0 and _sign_pair(P1 + a1, b1, D) >= 0
+                and _sign_pair(P2 - a2, b2, D) >= 0 and _sign_pair(P2 + a2, -b2, D) >= 0)
+
+    return in_box
 
 
 def box_enumerate_gauss(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, int]]:
@@ -116,6 +128,7 @@ def box_enumerate_gauss(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, i
     det = A * C - B0 * B0  # > 0, = ((w - w')/(S1 S2))^2
     two = QD(D, 2)
     n_max = (two * A / det).sqrt_floor()
+    in_box = _in_box(D, S1, S2)
     out = []
     for n in range(-n_max, n_max + 1):
         disc = two * A - det * (n * n)
@@ -129,20 +142,22 @@ def box_enumerate_gauss(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, i
         for m in range(lo, hi + 1):
             x = m * u[0] + n * v[0]
             y = m * u[1] + n * v[1]
-            if _in_box(D, x, y, S1, S2):
+            if in_box(x, y):
                 out.append((x, y))
     out.sort()
     return out
 
 
 def box_enumerate(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, int]]:
-    """All (x, y) with x + y*omega inside the embedding box, engine chosen
-    by the y-range."""
-    w = omega_basis(D)
-    spread = w - w.conj()
-    y_hi = (QD(D, Fraction(S1) + Fraction(S2)) / spread).floor() + 1
-    if y_hi <= YSCAN_LIMIT:
-        return box_enumerate_scan(D, S1, S2)
+    """All (x, y) with x + y*omega inside the embedding box, sorted.
+
+    A window S_h <= 0 admits at most c = 0, so it is answered without the
+    Gauss engine, which divides by S_h.
+    """
+    if S1 < 0 or S2 < 0:
+        return []
+    if S1 == 0 or S2 == 0:
+        return [(0, 0)]
     return box_enumerate_gauss(D, S1, S2)
 
 

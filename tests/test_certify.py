@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from quadcert import latbox
 from quadcert.certify import (
     CertificateError,
     QuadraticForm,
@@ -14,7 +15,9 @@ from quadcert.certify import (
     totally_positive_up_to,
 )
 from quadcert.contfrac import alpha, expand_sqrt
+from quadcert.latbox import box_enumerate_scan, coords_to_elem
 from quadcert.qarith import QuadElem, format_elem, succeq
+from quadcert.qd import QD, frac_sqrt_outer
 
 
 def test_select_witnesses_default_schema(cert_m1):
@@ -172,6 +175,45 @@ def test_decide_represent_impossible_unary(cert_m1):
     a3 = alpha(e, 3)
     r = decide_represent(parse_form("x1^2", cert_m1.D), a3)
     assert r.status == "impossible"
+
+
+def test_decide_represent_distinct_boxes():
+    """Coordinates with different boxes keep their own candidate lists.
+
+    x1^2 + x1 x2 + 3 x2^2 has Gram [[1, 1/2], [1/2, 3]], so B^-1 has the
+    diagonal (12/11, 4/11): the two coordinate boxes differ.  Both verdicts
+    are confirmed by brute force over the y-scan's boxes.
+    """
+    D = 5
+    f = parse_form("x1^2 + x1 x2 + 3 x2^2", D)
+    binv_diag = (Fraction(12, 11), Fraction(4, 11))
+    for target, status in ((QuadElem(D, 5, 0), "found"),
+                           (QuadElem(D, 11, 1, 2), "impossible")):
+        r = decide_represent(f, target)
+        assert r.status == status
+        tgt = QD(D, Fraction(target.a, target.den), Fraction(target.b, target.den))
+        boxes = []
+        for d in binv_diag:
+            S1 = frac_sqrt_outer((tgt * d).upper_frac(24), 24)
+            S2 = frac_sqrt_outer((tgt.conj() * d).upper_frac(24), 24)
+            boxes.append([coords_to_elem(D, x, y) for x, y in box_enumerate_scan(D, S1, S2)])
+        assert r.candidates_per_coordinate == tuple(len(b) for b in boxes)
+        assert len(boxes[0]) != len(boxes[1])
+        hits = [(u, v) for u in boxes[0] for v in boxes[1] if f.evaluate((u, v)) == target]
+        assert bool(hits) == (status == "found"), target
+        if status == "found":
+            assert f.evaluate(r.vector) == target
+
+
+def test_production_never_calls_the_scan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("production code called box_enumerate_scan")
+
+    monkeypatch.setattr(latbox, "box_enumerate_scan", refuse)
+    assert build_certificate(1).soundness == "proved"
+    assert build_certificate(1, force_D=13).soundness == "refuted"
+    f = parse_form("x1^2 + x1 x2 + x2^2 + x3^2 + x3 x4 + x4^2", 5)
+    assert decide_represent(f, QuadElem(5, 7, 1, 2)).status == "found"
 
 
 def test_decide_represent_sum_two_squares():

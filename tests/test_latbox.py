@@ -1,9 +1,12 @@
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from quadcert import latbox
 from quadcert.latbox import (
+    YSCAN_LIMIT,
     box_enumerate,
     box_enumerate_gauss,
     box_enumerate_scan,
@@ -25,29 +28,96 @@ def test_coords_to_elem():
     assert coords_to_elem(5, 1, 1) == QuadElem(5, 3, 1, 2)  # 1 + (1+sqrt5)/2
 
 
-def test_engines_agree_on_random_boxes():
-    rng = random.Random(20240214)
-    for _ in range(25):
-        D = rng.choice([2, 3, 5, 7, 13, 61, 94])
-        S1 = Fraction(rng.randrange(1, 400), rng.randrange(1, 9))
-        S2 = Fraction(rng.randrange(1, 25), rng.randrange(1, 40))
-        a = box_enumerate_scan(D, S1, S2)
-        b = box_enumerate_gauss(D, S1, S2)
-        assert a == b, (D, S1, S2)
-        assert (0, 0) in a
+def _reference_in_box(D, x, y, S1, S2):
+    """Box membership in exact QD arithmetic, the integer test's oracle."""
+    c1 = QD(D, x) + omega_basis(D) * y
+    return abs(c1) <= QD(D, Fraction(S1)) and abs(c1.conj()) <= QD(D, Fraction(S2))
+
+
+# both residue classes of D mod 4 that occur for squarefree D
+FIELDS = (2, 3, 5, 7, 13, 61, 94)
+windows = st.fractions(min_value=Fraction(-2), max_value=Fraction(60),
+                       max_denominator=50)
+
+
+@settings(max_examples=300, deadline=None)
+@given(D=st.sampled_from(FIELDS), x=st.integers(-60, 60), y=st.integers(-20, 20),
+       S1=windows, S2=windows, exact=st.sampled_from([None, 1, 2, 3]))
+@example(D=5, x=3, y=0, S1=Fraction(3), S2=Fraction(3), exact=None)
+@example(D=5, x=1, y=1, S1=Fraction(2), S2=Fraction(1), exact=None)
+@example(D=7, x=-4, y=0, S1=Fraction(4), S2=Fraction(9, 2), exact=None)
+def test_in_box_matches_reference(D, x, y, S1, S2, exact):
+    if exact is not None:
+        # a rational point on the boundary of one or both windows: the
+        # equality branch of |sigma_h(c)| <= S_h
+        y = 0
+        if exact & 1:
+            S1 = Fraction(abs(x))
+        if exact & 2:
+            S2 = Fraction(abs(x))
+    got = latbox._in_box(D, S1, S2)(x, y)
+    assert got == _reference_in_box(D, x, y, S1, S2)
+
+
+@st.composite
+def scan_boxes(draw):
+    """Boxes the y-scan accepts: generic ones in both D classes, C8-sized
+    ones over Q(sqrt(5)), and thin ones whose y-range is near YSCAN_LIMIT."""
+    kind = draw(st.sampled_from(["generic", "c8", "thin"]))
+    if kind == "generic":
+        D = draw(st.sampled_from(FIELDS))
+        S1 = Fraction(draw(st.integers(1, 400)), draw(st.integers(1, 9)))
+        S2 = Fraction(draw(st.integers(1, 25)), draw(st.integers(1, 40)))
+    elif kind == "c8":
+        # coordinate boxes of targets with trace <= 30 under (B^-1)_tt = 4/3
+        D = 5
+        S1 = Fraction(draw(st.integers(1, 7 * 2 ** 12)), 2 ** 12)
+        S2 = Fraction(draw(st.integers(1, 7 * 2 ** 12)), 2 ** 12)
+    else:
+        D = draw(st.sampled_from([2, 5, 13]))
+        spread = omega_basis(D) - omega_basis(D).conj()
+        reach = (spread * draw(st.integers(YSCAN_LIMIT - 40, YSCAN_LIMIT - 1))).floor()
+        S2 = Fraction(1, draw(st.integers(1, 1000)))
+        S1 = reach - S2
+    if draw(st.booleans()):
+        S1, S2 = S2, S1
+    return D, S1, S2
+
+
+@settings(max_examples=120, deadline=None)
+@given(box=scan_boxes())
+@example(box=(5, Fraction(4, 3), Fraction(4, 3)))
+@example(box=(2, Fraction(1, 3), Fraction(2)))
+def test_engines_agree_on_random_boxes(box):
+    """The y-scan is the oracle for the production (Gauss) engine."""
+    D, S1, S2 = box
+    try:
+        want = box_enumerate_scan(D, S1, S2)
+    except ValueError:  # y-range beyond YSCAN_LIMIT: no oracle for this box
+        return
+    assert box_enumerate(D, S1, S2) == want
+    assert (0, 0) in want
+
+
+@pytest.mark.parametrize("D", [5, 13, 2, 7])
+def test_degenerate_windows_match_scan(D):
+    # S_h = 0 admits only c = 0; S_h < 0 admits nothing; the Gauss engine
+    # would divide by S_h, so box_enumerate must answer these without it
+    for bad, want in ((Fraction(0), [(0, 0)]), (Fraction(-1, 3), []), (-2, [])):
+        for S1, S2 in ((bad, Fraction(7, 2)), (Fraction(7, 2), bad), (bad, bad)):
+            assert box_enumerate(D, S1, S2) == want, (S1, S2)
+            assert box_enumerate_scan(D, S1, S2) == want, (S1, S2)
+    assert box_enumerate(D, Fraction(0), Fraction(-1)) == []
+    assert box_enumerate_scan(D, Fraction(0), Fraction(-1)) == []
 
 
 def test_box_membership_is_exact():
-    D, S1, S2 = 13, Fraction(30), Fraction(4)
-    w = omega_basis(D)
-    pts = set(box_enumerate(D, S1, S2))
-    y_hi = 40
-    for x in range(-80, 81):
-        for y in range(-y_hi, y_hi + 1):
-            c1 = QD(D, x) + w * y
-            c2 = c1.conj()
-            inside = abs(c1) <= QD(D, Fraction(S1)) and abs(c2) <= QD(D, Fraction(S2))
-            assert ((x, y) in pts) == inside, (x, y)
+    for D, S1, S2 in ((13, Fraction(30), Fraction(4)), (7, Fraction(25), Fraction(7, 2))):
+        pts = set(box_enumerate(D, S1, S2))
+        for x in range(-80, 81):
+            for y in range(-40, 41):
+                inside = _reference_in_box(D, x, y, S1, S2)
+                assert ((x, y) in pts) == inside, (D, x, y)
 
 
 def test_gauss_handles_extreme_skew():
