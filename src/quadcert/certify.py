@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .contfrac import SurdExpansion, convergents, expand_sqrt
@@ -199,38 +198,6 @@ class Certificate:
         return json.dumps(self.to_json(), indent=1, sort_keys=True)
 
 
-def certificate_from_json(obj: dict) -> Certificate:
-    """Inverse of Certificate.to_json (generation-side convenience; the
-    verifier does its own parsing)."""
-    seq = SymSequence(tuple(int(u) for u in obj["sequence"]))
-    D = int(obj["D"])
-    k = int(obj["k"])
-    ws = []
-    idx = []
-    for w in obj["witnesses"]:
-        idx.append(int(w["i"]))
-        ws.append(QuadElem(D, int(w["p"]), int(w["q"])))
-    pcs = []
-    for p in obj["pairs"]:
-        viol = tuple(parse_elem(v, D) for v in p["violators"])
-        pcs.append(PairCheck(i=int(p["i"]), j=int(p["j"]), beta=QuadElem(D, 0, 0),
-                             s1_bound=Fraction(0), s2_bound=Fraction(0),
-                             candidates_tested=int(p["candidates"]),
-                             violators=viol, doubling_clean=True))
-    return Certificate(
-        version=int(obj["version"]),
-        seq=seq,
-        k=k,
-        D=D,
-        squarefree=SquarefreeStatus.from_json(obj["squarefree"]),
-        M=int(obj["M"]),
-        witness_set=WitnessSet(D=D, indices=tuple(idx), witnesses=tuple(ws)),
-        pair_checks=tuple(pcs),
-        excluded_rank_le=int(obj["conclusion"]["excluded_rank_le"]),
-        soundness=obj["conclusion"]["soundness"],
-    )
-
-
 def build_certificate(
     M: int,
     base: str = "minimal",
@@ -368,45 +335,33 @@ class QuadraticForm:
         return total
 
     def is_totally_positive_definite(self) -> bool:
-        """All leading principal minors positive under both embeddings, exactly."""
-        B = self.gram()
-        for t in range(1, self.n + 1):
-            d = _qd_det([row[:t] for row in B[:t]])
-            if d.sign() <= 0 or d.conj().sign() <= 0:
-                return False
-        return True
+        """Every pivot of the UDU^T factorisation is totally positive (Sylvester
+        on trailing principal minors), exactly."""
+        return _udu(self.gram()) is not None
 
 
-def _qd_det(M: List[List[QD]]) -> QD:
-    """Determinant by fraction-free-ish Gaussian elimination over Q(sqrt(D))."""
-    n = len(M)
-    M = [row[:] for row in M]
-    det = None
-    sign_flips = 0
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not M[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            return M[0][0] * 0
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            sign_flips ^= 1
-        for r in range(col + 1, n):
-            f = M[r][col] / M[col][col]
-            M[r] = [M[r][c] - f * M[col][c] for c in range(n)]
-    det = M[0][0]
-    for t in range(1, n):
-        det = det * M[t][t]
-    return -det if sign_flips else det
+def _udu(B: List[List[QD]]) -> Optional[Tuple[List[List[QD]], List[QD]]]:
+    """B = U diag(d) U^T with U unit upper triangular, exactly over Q(sqrt(D)).
 
-
-def _qd_matmul(A, B):
-    n, m, p = len(A), len(B), len(B[0])
-    return [[sum((A[i][k] * B[k][j] for k in range(m)), A[0][0] * 0) for j in range(p)]
-            for i in range(n)]
+    Eliminates from the last coordinate, so Q(x) = sum_k d_k (x_k +
+    sum_{j<k} U[j][k] x_j)^2 and term k involves only x_0..x_k.  Returns
+    (U, d), or None at the first pivot that is not totally positive.
+    """
+    n = len(B)
+    A = [row[:] for row in B]
+    U = [[QD(row[0].D, 1 if i == j else 0) for j in range(n)] for i, row in enumerate(B)]
+    d: List[QD] = [None] * n
+    for k in range(n - 1, -1, -1):
+        p = A[k][k]
+        if p.sign() <= 0 or p.conj().sign() <= 0:
+            return None
+        d[k] = p
+        for i in range(k):
+            U[i][k] = A[i][k] / p
+        for i in range(k):
+            for j in range(k):
+                A[i][j] = A[i][j] - U[i][k] * A[k][j]
+    return U, d
 
 
 def _qd_inverse(M: List[List[QD]]) -> List[List[QD]]:
@@ -483,22 +438,27 @@ def decide_represent(form: QuadraticForm, target: QuadElem) -> RepresentResult:
     """Exhaustive decision of Q(v) = target over O_K^n.
 
     Coordinate boxes come from the exact inverse Gram per embedding:
-    sigma_h(x_t)^2 <= sigma_h(target) * (B^(h)^-1)_tt, outer-rounded.  The
-    search runs depth-first with exact Schur-complement pruning; the last
-    coordinate is solved algebraically rather than enumerated.
+    sigma_h(x_t)^2 <= sigma_h(target) * (B^(h)^-1)_tt, outer-rounded.  One
+    exact factorisation B = U diag(d) U^T (Fincke-Pohst order, eliminating
+    from the last coordinate) does the rest: its pivots decide total positive
+    definiteness; the depth-first search adds one term d_t (x_t + l_t)^2 per
+    node to the partial sum P and prunes when target - P is not totally
+    nonnegative; the last coordinate is solved as x = +-sqrt(4 d (target -
+    P))/(2 d) - l rather than enumerated.
     """
     D = form.D
     if target.D != D:
         raise ValueError("target field mismatch")
-    if not form.is_totally_positive_definite():
+    B = form.gram()
+    factor = _udu(B)
+    if factor is None:
         raise ValueError("form is not totally positive definite")
     if not (target.is_totally_positive() or (target.a > 0 and target.b == 0)):
         raise ValueError("target must be totally positive")
-    B = form.gram()
+    U, d = factor
     n = form.n
     tgt = _elem_to_qd(target)
     Binv = _qd_inverse(B)
-    det = _qd_det(B)
     # per-coordinate boxes
     from .qd import frac_sqrt_outer
 
@@ -509,93 +469,48 @@ def decide_represent(form: QuadraticForm, target: QuadElem) -> RepresentResult:
                 frac_sqrt_outer(max(th2, Fraction(0)), 24))
 
     # coordinates with the same box share one enumeration (and one list)
-    by_box: Dict[Tuple[Fraction, Fraction], List[QuadElem]] = {}
-    candidates: List[List[QuadElem]] = []
+    by_box: Dict[Tuple[Fraction, Fraction], List[Tuple[QuadElem, QD]]] = {}
+    candidates: List[List[Tuple[QuadElem, QD]]] = []
     for t in range(n):
         box = coordinate_box(t)
         if box not in by_box:
             elems = [coords_to_elem(D, x, y) for x, y in box_enumerate(D, *box)]
             elems.sort(key=lambda c: ((c * c).trace(), c.a, c.b))
-            by_box[box] = elems
+            by_box[box] = [(c, _elem_to_qd(c)) for c in elems]
         candidates.append(by_box[box])
 
-    # Schur complements S_t for head length t = 1..n-1 (exact)
-    schur: Dict[int, List[List[QD]]] = {}
-    for t in range(1, n):
-        Bhh = [row[:t] for row in B[:t]]
-        Bht = [row[t:] for row in B[:t]]
-        Btt = [row[t:] for row in B[t:]]
-        Btt_inv = _qd_inverse(Btt)
-        corr = _qd_matmul(_qd_matmul(Bht, Btt_inv), [list(r) for r in zip(*Bht)])
-        schur[t] = [[Bhh[i][j] - corr[i][j] for j in range(t)] for i in range(t)]
-
-    a_nn = B[n - 1][n - 1]
     nodes = 0
 
-    def tail_min_ok(head: List[QD]) -> bool:
-        t = len(head)
-        if t == n:
-            return True
-        S = schur[t]
-        acc = tgt * 0
-        for i in range(t):
-            for j in range(t):
-                acc = acc + S[i][j] * head[i] * head[j]
-        rem = tgt - acc
-        return rem.sign() >= 0 and rem.conj().sign() >= 0
-
-    def solve_last(head_elems: List[QuadElem]):
-        # a_nn x^2 + L x + (C - target) = 0 over K
-        L = QD(D, 0)
-        for i in range(1, n):
-            L = L + _elem_to_qd(form.coeff(i, n)) * _elem_to_qd(head_elems[i - 1])
-        Cval = QD(D, 0)
-        for i in range(1, n):
-            for j in range(i, n):
-                cij = form.coeff(i, j)
-                if cij.a == 0 and cij.b == 0:
-                    continue
-                Cval = Cval + _elem_to_qd(cij) * _elem_to_qd(head_elems[i - 1]) * _elem_to_qd(head_elems[j - 1])
-        disc = L * L - a_nn * (Cval - tgt) * 4
-        root = sqrt_in_field(disc)
-        if root is None:
-            return None
-        for rt in (root, -root):
-            x = (rt - L) / (a_nn * 2)
-            el = _qd_to_elem(x)
-            if el is not None:
-                return el
-        return None
-
-    def dfs(depth: int, head_elems: List[QuadElem], head_qd: List[QD]):
+    def dfs(t: int, head: List[QuadElem], head_qd: List[QD], P: QD):
         nonlocal nodes
-        if depth == n - 1:
+        l = sum((U[j][t] * head_qd[j] for j in range(t)), QD(D, 0))
+        if t == n - 1:
             nodes += 1
-            el = solve_last(head_elems)
-            if el is not None:
-                vec = tuple(head_elems + [el])
-                assert form.evaluate(vec) == target
-                return vec
+            # 4 d (target - P) is the discriminant of Q(head, x) = target in x;
+            # which of its two roots sqrt_in_field returns fixes the vector
+            root = sqrt_in_field((tgt - P) * d[t] * 4)
+            if root is None:
+                return None
+            for rt in (root, -root):
+                el = _qd_to_elem(rt / (d[t] * 2) - l)
+                if el is not None:
+                    vec = tuple(head + [el])
+                    assert form.evaluate(vec) == target
+                    return vec
             return None
-        for cand in candidates[depth]:
+        for cand, cq in candidates[t]:
             nodes += 1
-            hq = head_qd + [_elem_to_qd(cand)]
-            if not tail_min_ok(hq):
+            z = cq + l
+            Pc = P + d[t] * z * z
+            rem = tgt - Pc
+            if rem.sign() < 0 or rem.conj().sign() < 0:
                 continue
-            got = dfs(depth + 1, head_elems + [cand], hq)
+            got = dfs(t + 1, head + [cand], head_qd + [cq], Pc)
             if got is not None:
                 return got
         return None
 
-    if n == 1:
-        vec = None
-        el = _solve_unary(a_nn, tgt, D)
-        if el is not None:
-            vec = (el,)
-            assert form.evaluate(vec) == target
-        nodes += 1
-    else:
-        vec = dfs(0, [], [])
+    vec = dfs(0, [], [], QD(D, 0))
     counts = tuple(len(c) for c in candidates)
     if vec is not None:
         return RepresentResult("found", vec, counts, nodes)
@@ -603,18 +518,6 @@ def decide_represent(form: QuadraticForm, target: QuadElem) -> RepresentResult:
     recheck = tuple(len(box_enumerate(D, *coordinate_box(t))) for t in range(n))
     assert recheck == counts
     return RepresentResult("impossible", None, counts, nodes)
-
-
-def _solve_unary(a11: QD, tgt: QD, D: int) -> Optional[QuadElem]:
-    theta = tgt / a11
-    root = sqrt_in_field(theta)
-    if root is None:
-        return None
-    for rt in (root, -root):
-        el = _qd_to_elem(rt)
-        if el is not None:
-            return el
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +570,8 @@ def parse_form(text: str, D: int) -> QuadraticForm:
         v1 = int(m.group("v1"))
         v2 = int(m.group("v2")) if m.group("v2") else v1
         i, j = min(v1, v2), max(v1, v2)
+        if i < 1:
+            raise ValueError(f"variables are x1, x2, ...: {term!r}")
         coef_text = m.group("coef").strip().rstrip("*").strip()
         if not coef_text:
             c = QuadElem(D, 1, 0)

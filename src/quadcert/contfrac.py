@@ -148,17 +148,9 @@ class FractionBoundCheck:
 def check_fraction_bounds(e: SurdExpansion, i: int) -> FractionBoundCheck:
     """Exact test of 1/((u_{i+1}+2) q_i^2) < |p_i/q_i - sqrt(D)| < 1/(u_{i+1} q_i^2).
 
-    With N = |N(alpha_i)| the distance is N/(q_i (p_i + q_i sqrt(D))), so both
-    bounds reduce to single comparisons of an integer against q_i sqrt(D).
+    The i-th check of bound_checks_stream.
     """
-    c = convergents(e, i + 1)[i]
-    u_next = e.u(i + 1)
-    N = abs(c.p * c.p - e.D * c.q * c.q)
-    # lower: p + q*sqrt(D) < (u+2) q N   <=>   q sqrt(D) > p - (u+2) q N ... reversed:
-    lower = _cmp_int_vs_sqrtD((u_next + 2) * c.q * N - c.p, c.q, e.D) > 0
-    # upper: u q N < p + q sqrt(D)
-    upper = _cmp_int_vs_sqrtD(u_next * c.q * N - c.p, c.q, e.D) < 0
-    return FractionBoundCheck(lower_holds=lower, upper_holds=upper)
+    return _bound_checks_at(e, i)[1]
 
 
 @dataclass(frozen=True)
@@ -171,23 +163,27 @@ class NormBoundCheck:
 def check_norm_bounds(e: SurdExpansion, i: int) -> NormBoundCheck:
     """Exact test of 2 sqrt(D)/(u_{i+1}+2.5) < |N(alpha_i)| < 2 sqrt(D)/(u_{i+1}-0.5).
 
-    Doubling clears the .5 terms: compare (|N|(2u+5))^2 and (|N|(2u-1))^2
-    against 16 D.
+    The i-th check of bound_checks_stream.
     """
-    c = convergents(e, i + 1)[i]
-    u_next = e.u(i + 1)
-    N = c.p * c.p - e.D * c.q * c.q
-    aN = abs(N)
-    lower = (aN * (2 * u_next + 5)) ** 2 > 16 * e.D
-    upper = (aN * (2 * u_next - 1)) ** 2 < 16 * e.D
-    return NormBoundCheck(lower_holds=lower, upper_holds=upper, norm=N)
+    return _bound_checks_at(e, i)[2]
+
+
+def _bound_checks_at(e: SurdExpansion, i: int):
+    if i < 0:
+        raise ValueError("index must be >= 0")
+    for item in bound_checks_stream(e, i + 1):
+        pass
+    return item
 
 
 def bound_checks_stream(e: SurdExpansion, n: int):
-    """(i, FractionBoundCheck, NormBoundCheck) for i < n, one pass.
+    """(convergent, FractionBoundCheck, NormBoundCheck) for indices i < n.
 
-    Same exact tests as check_fraction_bounds/check_norm_bounds but with the
-    convergents carried incrementally, for the big sweeps.
+    Fraction bounds: with N = |N(alpha_i)| the distance |p_i/q_i - sqrt(D)|
+    is N/(q_i (p_i + q_i sqrt(D))), so both bounds reduce to single
+    comparisons of an integer against q_i sqrt(D).  Norm bounds: doubling
+    clears the .5 terms, so (|N|(2u+5))^2 and (|N|(2u-1))^2 are compared
+    against 16 D.
     """
     for c in convergent_iter(e):
         if c.i >= n:
@@ -196,7 +192,9 @@ def bound_checks_stream(e: SurdExpansion, n: int):
         N = c.p * c.p - e.D * c.q * c.q
         aN = abs(N)
         fb = FractionBoundCheck(
+            # p + q sqrt(D) < (u+2) q N
             lower_holds=_cmp_int_vs_sqrtD((u_next + 2) * c.q * aN - c.p, c.q, e.D) > 0,
+            # u q N < p + q sqrt(D)
             upper_holds=_cmp_int_vs_sqrtD(u_next * c.q * aN - c.p, c.q, e.D) < 0,
         )
         nb = NormBoundCheck(

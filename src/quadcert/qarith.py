@@ -387,15 +387,6 @@ class SquarefreeStatus:
             out["bound"] = int(self.bound)
         return out
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SquarefreeStatus":
-        return cls(
-            verdict=obj["verdict"],
-            witness=int(obj["witness"]) if "witness" in obj else None,
-            bound=int(obj["bound"]) if "bound" in obj else None,
-            mode=obj["mode"],
-        )
-
 
 DEFAULT_TRIAL_BOUND = 10 ** 7
 DEFAULT_RHO_BUDGET = 40_000_000

@@ -1,13 +1,19 @@
 from fractions import Fraction
+from typing import Dict, List
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadcert import latbox
 from quadcert.certify import (
     CertificateError,
     QuadraticForm,
+    RepresentResult,
+    _elem_to_qd,
+    _qd_inverse,
+    _qd_to_elem,
     build_certificate,
-    certificate_from_json,
     decide_represent,
     pair_refute,
     parse_form,
@@ -15,9 +21,9 @@ from quadcert.certify import (
     totally_positive_up_to,
 )
 from quadcert.contfrac import alpha, expand_sqrt
-from quadcert.latbox import box_enumerate_scan, coords_to_elem
+from quadcert.latbox import box_enumerate, box_enumerate_scan, coords_to_elem
 from quadcert.qarith import QuadElem, format_elem, succeq
-from quadcert.qd import QD, frac_sqrt_outer
+from quadcert.qd import QD, frac_sqrt_outer, sqrt_in_field
 
 
 def test_select_witnesses_default_schema(cert_m1):
@@ -107,13 +113,12 @@ def test_certificate_refuted_d13(cert_refuted_13):
     assert QuadElem(13, 3, 1, 2) in viol
 
 
-def test_certificate_json_roundtrip(cert_m1):
+def test_certificate_json_schema(cert_m1):
     obj = cert_m1.to_json()
-    back = certificate_from_json(obj)
-    assert back.D == cert_m1.D and back.k == cert_m1.k
-    assert back.seq == cert_m1.seq
-    assert back.witness_set.witnesses == cert_m1.witness_set.witnesses
-    assert back.soundness == cert_m1.soundness
+    assert int(obj["D"]) == cert_m1.D and int(obj["k"]) == cert_m1.k
+    assert tuple(int(u) for u in obj["sequence"]) == cert_m1.seq.values
+    assert [QuadElem(cert_m1.D, int(w["p"]), int(w["q"])) for w in obj["witnesses"]] \
+        == list(cert_m1.witness_set.witnesses)
     # schema details: decimal strings everywhere
     assert isinstance(obj["D"], str) and isinstance(obj["k"], str)
     assert all(isinstance(u, str) for u in obj["sequence"])
@@ -142,6 +147,14 @@ def test_parse_form_coefficients():
         parse_form("x1", 5)  # not quadratic
     with pytest.raises(ValueError):
         parse_form("", 5)
+
+
+def test_parse_form_rejects_variable_zero():
+    # x0 used to be accepted and then dropped by gram/evaluate, so
+    # "x0^2 + x1^2" became the unary x1^2 and 2 read as impossible
+    for text in ("x0^2 + x1^2", "x0 x1 + x1^2", "x1^2 + x00^2"):
+        with pytest.raises(ValueError):
+            parse_form(text, 5)
 
 
 def test_positive_definiteness_check():
@@ -271,3 +284,176 @@ def test_build_certificate_thread_count_invariance():
     a = build_certificate(2, base="minimal", threads=1)
     b = build_certificate(2, base="minimal", threads=3)
     assert a.to_json() == b.to_json()
+
+
+# ---------------------------------------------------------------------------
+# reference decider: leading minors, one Schur complement per head length,
+# and the last coordinate by the quadratic formula (the n = 1 case included)
+# ---------------------------------------------------------------------------
+
+def _qd_det(M: List[List[QD]]) -> QD:
+    """Determinant by Gaussian elimination over Q(sqrt(D))."""
+    n = len(M)
+    M = [row[:] for row in M]
+    sign_flips = 0
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if not M[r][col].is_zero():
+                piv = r
+                break
+        if piv is None:
+            return M[0][0] * 0
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            sign_flips ^= 1
+        for r in range(col + 1, n):
+            f = M[r][col] / M[col][col]
+            M[r] = [M[r][c] - f * M[col][c] for c in range(n)]
+    det = M[0][0]
+    for t in range(1, n):
+        det = det * M[t][t]
+    return -det if sign_flips else det
+
+
+def _qd_matmul(A, B):
+    n, m, p = len(A), len(B), len(B[0])
+    return [[sum((A[i][k] * B[k][j] for k in range(m)), A[0][0] * 0) for j in range(p)]
+            for i in range(n)]
+
+
+def _reference_tpd(form: QuadraticForm) -> bool:
+    """All leading principal minors positive under both embeddings."""
+    B = form.gram()
+    for t in range(1, form.n + 1):
+        d = _qd_det([row[:t] for row in B[:t]])
+        if d.sign() <= 0 or d.conj().sign() <= 0:
+            return False
+    return True
+
+
+def _reference_decide(form: QuadraticForm, target: QuadElem) -> RepresentResult:
+    D = form.D
+    B = form.gram()
+    n = form.n
+    tgt = _elem_to_qd(target)
+    Binv = _qd_inverse(B)
+
+    def coordinate_box(t):
+        th1 = (tgt * Binv[t][t]).upper_frac(24)
+        th2 = (tgt.conj() * Binv[t][t].conj()).upper_frac(24)
+        return (frac_sqrt_outer(max(th1, Fraction(0)), 24),
+                frac_sqrt_outer(max(th2, Fraction(0)), 24))
+
+    candidates = []
+    for t in range(n):
+        elems = [coords_to_elem(D, x, y) for x, y in box_enumerate(D, *coordinate_box(t))]
+        elems.sort(key=lambda c: ((c * c).trace(), c.a, c.b))
+        candidates.append(elems)
+
+    schur: Dict[int, List[List[QD]]] = {}
+    for t in range(1, n):
+        Bhh = [row[:t] for row in B[:t]]
+        Bht = [row[t:] for row in B[:t]]
+        Btt_inv = _qd_inverse([row[t:] for row in B[t:]])
+        corr = _qd_matmul(_qd_matmul(Bht, Btt_inv), [list(r) for r in zip(*Bht)])
+        schur[t] = [[Bhh[i][j] - corr[i][j] for j in range(t)] for i in range(t)]
+
+    a_nn = B[n - 1][n - 1]
+    nodes = 0
+
+    def tail_min_ok(head):
+        S = schur[len(head)]
+        acc = tgt * 0
+        for i in range(len(head)):
+            for j in range(len(head)):
+                acc = acc + S[i][j] * head[i] * head[j]
+        rem = tgt - acc
+        return rem.sign() >= 0 and rem.conj().sign() >= 0
+
+    def solve_last(head_elems):
+        # a_nn x^2 + L x + (C - target) = 0 over K
+        L = QD(D, 0)
+        for i in range(1, n):
+            L = L + _elem_to_qd(form.coeff(i, n)) * _elem_to_qd(head_elems[i - 1])
+        Cval = QD(D, 0)
+        for i in range(1, n):
+            for j in range(i, n):
+                Cval = Cval + (_elem_to_qd(form.coeff(i, j)) * _elem_to_qd(head_elems[i - 1])
+                               * _elem_to_qd(head_elems[j - 1]))
+        root = sqrt_in_field(L * L - a_nn * (Cval - tgt) * 4)
+        if root is None:
+            return None
+        for rt in (root, -root):
+            el = _qd_to_elem((rt - L) / (a_nn * 2))
+            if el is not None:
+                return el
+        return None
+
+    def dfs(depth, head_elems, head_qd):
+        nonlocal nodes
+        if depth == n - 1:
+            nodes += 1
+            el = solve_last(head_elems)
+            return None if el is None else tuple(head_elems + [el])
+        for cand in candidates[depth]:
+            nodes += 1
+            hq = head_qd + [_elem_to_qd(cand)]
+            if not tail_min_ok(hq):
+                continue
+            got = dfs(depth + 1, head_elems + [cand], hq)
+            if got is not None:
+                return got
+        return None
+
+    vec = dfs(0, [], [])
+    counts = tuple(len(c) for c in candidates)
+    return RepresentResult("found" if vec else "impossible", vec, counts, nodes)
+
+
+REFERENCE_FIELDS = (2, 5, 13)
+
+
+@st.composite
+def small_forms(draw):
+    """1- to 3-ary forms with small, often irrational, coefficients."""
+    D = draw(st.sampled_from(REFERENCE_FIELDS))
+    n = draw(st.integers(1, 3))
+    coeffs = []
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            den = draw(st.sampled_from([1, 2] if D % 4 == 1 else [1]))
+            b = draw(st.integers(-1, 1))
+            if i == j:
+                a = draw(st.integers(1, 6)) * den
+            else:
+                a = draw(st.integers(-2, 2)) * den
+            if den == 2:
+                a, b = a + 1, 2 * b + 1  # a half-integral element of O_K
+            c = QuadElem(D, a, b, den)
+            if c.a or c.b:
+                coeffs.append((i, j, c))
+    form = QuadraticForm(D=D, n=n, coeffs=tuple(coeffs))
+    target = draw(st.sampled_from(totally_positive_up_to(D, 10)))
+    return form, target
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=small_forms())
+# unary forms with an irrational coefficient that represent the target:
+# the root comes from sqrt(4 a11 target), not sqrt(target / a11)
+@example(case=(QuadraticForm(D=2, n=1, coeffs=((1, 1, QuadElem(2, 3, 2)),)),
+               QuadElem(2, 1, 0)))
+@example(case=(QuadraticForm(D=5, n=1, coeffs=((1, 1, QuadElem(5, 7, 3, 2)),)),
+               QuadElem(5, 3, 1, 2)))
+def test_decider_matches_reference(case):
+    form, target = case
+    tpd = form.is_totally_positive_definite()
+    assert tpd == _reference_tpd(form)
+    if not tpd:
+        with pytest.raises(ValueError):
+            decide_represent(form, target)
+        return
+    got, want = decide_represent(form, target), _reference_decide(form, target)
+    assert (got.status, got.vector, got.candidates_per_coordinate, got.nodes_visited) \
+        == (want.status, want.vector, want.candidates_per_coordinate, want.nodes_visited)

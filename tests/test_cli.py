@@ -77,6 +77,13 @@ def test_represent(capsys):
     assert obj["status"] == "found"
 
 
+def test_represent_rejects_variable_zero(capsys):
+    code = main(["represent", "5", "--form", "x0^2 + x1^2", "--target", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "x1, x2" in captured.err
+
+
 def test_tp_list(capsys):
     code, out = run_cli(capsys, "--json", "tp-list", "5", "--trace", "3")
     assert code == 0

@@ -1,6 +1,8 @@
 import pytest
 
 from quadcert.contfrac import (
+    FractionBoundCheck,
+    NormBoundCheck,
     PeriodCapExceeded,
     alpha,
     bound_checks_stream,
@@ -111,11 +113,34 @@ def test_determinant_sign_recurrence_invariants():
         assert alpha(e, e.s - 1).norm() == (-1) ** e.s
 
 
+def _pointwise_bounds(e, i):
+    """Reference: both bound checks at index i from a fresh convergent list."""
+    c = convergents(e, i + 1)[i]
+    u = e.u(i + 1)
+    N = c.p * c.p - e.D * c.q * c.q
+    aN = abs(N)
+    # p + q sqrt(D) < (u+2) q N  and  u q N < p + q sqrt(D)
+    fb = FractionBoundCheck(
+        lower_holds=QuadElem(e.D, (u + 2) * c.q * aN - c.p, -c.q).sign() > 0,
+        upper_holds=QuadElem(e.D, u * c.q * aN - c.p, -c.q).sign() < 0,
+    )
+    nb = NormBoundCheck(
+        lower_holds=(aN * (2 * u + 5)) ** 2 > 16 * e.D,
+        upper_holds=(aN * (2 * u - 1)) ** 2 < 16 * e.D,
+        norm=N,
+    )
+    return fb, nb
+
+
 def test_bound_stream_matches_pointwise():
-    e = expand_sqrt(61)
-    for c, fb, nb in bound_checks_stream(e, 2 * e.s):
-        assert fb == check_fraction_bounds(e, c.i)
-        assert nb == check_norm_bounds(e, c.i)
+    for D in (2, 13, 61, 94):
+        e = expand_sqrt(D)
+        for c, fb, nb in bound_checks_stream(e, 2 * e.s):
+            assert (fb, nb) == _pointwise_bounds(e, c.i)
+            assert fb == check_fraction_bounds(e, c.i)
+            assert nb == check_norm_bounds(e, c.i)
+    with pytest.raises(ValueError):
+        check_norm_bounds(expand_sqrt(13), -1)
 
 
 def test_expand_falls_back_when_kernel_buffer_overruns(monkeypatch):
