@@ -6,12 +6,14 @@ positive rationals S1, S2, where c = x + y*omega over the integral basis
 
 One production engine, `box_enumerate_gauss`: Lagrange-reduce the basis
 under the box-normalized form F(c) = (sigma_1(c)/S1)^2 + (sigma_2(c)/S2)^2
-and Fincke-Pohst the ellipse F <= 2, which contains the whole box.  The
-reduction is a unimodular change of basis and every bound is an outer
-rational bound computed in exact Q(sqrt(D)) arithmetic, so completeness does
-not depend on how good the reduction is.  The certificate pair boxes are
-astronomically skewed (y-ranges ~2^67 with sub-unit widths); this engine
-visits O(1) candidates.
+and Fincke-Pohst the ellipse F <= 2, which contains the whole box.  The form
+is scaled to integer pairs (a, b) meaning (a + b*sqrt(D))/L over one common
+denominator per box, so the reduction and the line walk take no gcd: every
+comparison is an integer sign test and every floor one isqrt and one
+floor division.  The reduction is a unimodular change of basis and every
+bound is an outer bound, so completeness does not depend on how good the
+reduction is.  The certificate pair boxes are astronomically skewed
+(y-ranges ~2^67 with sub-unit widths); this engine visits O(1) candidates.
 
 `box_enumerate_scan` walks y and intersects the two x-intervals with exact
 floors.  It is independent of the reduction and serves as the tests'
@@ -100,45 +102,90 @@ def _in_box(D: int, S1: Fraction, S2: Fraction) -> Callable[[int, int], bool]:
     return in_box
 
 
+def _floor_pair(a: int, b: int, r: int, D: int) -> int:
+    """floor((a + b*sqrt(D))/r) for integers a, b, r != 0 and nonsquare D.
+
+    Exact with no fix-up: floor(x/r) = floor(floor(x)/r) for r > 0, and
+    floor(b*sqrt(D)) is an isqrt.
+    """
+    if r < 0:
+        a, b, r = -a, -b, -r
+    t = isqrt(b * b * D)
+    if b < 0:
+        t = -t - 1  # b*sqrt(D) is irrational, so its floor lies below -isqrt
+    return (a + t) // r
+
+
+def _floor_quot(x: Tuple[int, int], y: Tuple[int, int], D: int) -> int:
+    """floor(x/y) for integer pairs (a, b) meaning a + b*sqrt(D), y of
+    nonzero norm: x/y = x*conj(y)/N(y)."""
+    (xa, xb), (ya, yb) = x, y
+    return _floor_pair(xa * ya - xb * yb * D, xb * ya - xa * yb,
+                       ya * ya - yb * yb * D, D)
+
+
 def box_enumerate_gauss(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, int]]:
-    """Gauss-reduced Fincke-Pohst engine; complete for any box shape."""
-    w = omega_basis(D)
-    wc = w.conj()
-    iS1 = QD(D, Fraction(1) / (Fraction(S1) ** 2))
-    iS2 = QD(D, Fraction(1) / (Fraction(S2) ** 2))
-    G11 = iS1 + iS2
-    G12 = w * iS1 + wc * iS2
-    G22 = w * w * iS1 + wc * wc * iS2
+    """Gauss-reduced Fincke-Pohst engine; complete for any box shape.
 
-    def gram(p: Tuple[int, int], q: Tuple[int, int]) -> QD:
-        return (G11 * (p[0] * q[0]) + G12 * (p[0] * q[1] + p[1] * q[0])
-                + G22 * (p[1] * q[1]))
+    With S_h = p_h/q_h the form is scaled by L = p1^2 p2^2 (4 L when
+    D ≡ 1 mod 4), so every Gram entry is an integer pair (a, b) meaning
+    (a + b*sqrt(D))/L and no gcd is taken in the reduction or the walk.
+    """
+    S1, S2 = Fraction(S1), Fraction(S2)
+    p1, q1 = S1.numerator, S1.denominator
+    p2, q2 = S2.numerator, S2.denominator
+    # L*F(c) = al*sigma_1(c)^2 + be*sigma_2(c)^2; the Gram entries
+    # A = F(u), B0 = F(u, v), C = F(v) start at u = 1, v = omega
+    al, be = (q1 * p2) ** 2, (q2 * p1) ** 2
+    if D % 4 == 1:
+        # 2*omega = 1 + sqrt(D), 4*omega^2 = 1 + D + 2*sqrt(D)
+        L = 4 * (p1 * p2) ** 2
+        A = (4 * (al + be), 0)
+        B0 = (2 * (al + be), 2 * (al - be))
+        C = ((al + be) * (1 + D), 2 * (al - be))
+    else:
+        L = (p1 * p2) ** 2
+        A, B0, C = (al + be, 0), (0, al - be), ((al + be) * D, 0)
 
+    def less(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
+        return _sign_pair(x[0] - y[0], x[1] - y[1], D) < 0
+
+    # Lagrange/Gauss reduction, the Gram entries updated in place;
+    # terminates because F(v) strictly decreases
     u, v = (1, 0), (0, 1)
-    # Lagrange/Gauss reduction; terminates because F(v) strictly decreases
     while True:
-        if gram(v, v) < gram(u, u):
-            u, v = v, u
-        mu = (gram(u, v) / gram(u, u)).round_nearest()
+        if less(C, A):
+            u, v, A, C = v, u, C, A
+        # mu = round(B0/A) = floor((2 B0 + A)/(2 A))
+        mu = _floor_quot((2 * B0[0] + A[0], 2 * B0[1] + A[1]), (2 * A[0], 2 * A[1]), D)
         if mu != 0:
             v = (v[0] - mu * u[0], v[1] - mu * u[1])
-        if not (gram(v, v) < gram(u, u)):
+            C = (C[0] - 2 * mu * B0[0] + mu * mu * A[0],
+                 C[1] - 2 * mu * B0[1] + mu * mu * A[1])
+            B0 = (B0[0] - mu * A[0], B0[1] - mu * A[1])
+        if not less(C, A):
             break
-    A, B0, C = gram(u, u), gram(u, v), gram(v, v)
-    det = A * C - B0 * B0  # > 0, = ((w - w')/(S1 S2))^2
-    two = QD(D, 2)
-    n_max = (two * A / det).sqrt_floor()
+    # L^2 * det; rational, = L^2 (omega - omega')^2 / (S1 S2)^2
+    det = (A[0] * C[0] + A[1] * C[1] * D - B0[0] * B0[0] - B0[1] * B0[1] * D,
+           A[0] * C[1] + A[1] * C[0] - 2 * B0[0] * B0[1])
+    two_LA = (2 * L * A[0], 2 * L * A[1])
+    # |n| <= sqrt(2A/det) on F <= 2
+    n_max = isqrt(max(_floor_quot(two_LA, det, D), 0))
+    L2, T = L * L, 1 << 24
+    TA = (A[0] * T, A[1] * T)
     in_box = _in_box(D, S1, S2)
     out = []
     for n in range(-n_max, n_max + 1):
-        disc = two * A - det * (n * n)
-        if disc.sign() < 0:
+        # L^2 (2A - det n^2): |A m + B0 n| <= sqrt of its value
+        da, db = two_LA[0] - det[0] * n * n, two_LA[1] - det[1] * n * n
+        if _sign_pair(da, db, D) < 0:
             continue
-        # outer rational bound on sqrt(disc): an integer floor would explode
-        # the m-range whenever disc < 1
-        sd = QD(D, _qd_sqrt_outer(disc, 24))
-        lo = ((B0 * (-n) - sd) / A).floor() - 1
-        hi = ((B0 * (-n) + sd) / A).floor() + 2
+        # outer bound sd = (s + 1)/T on sqrt(disc), T = 2^24: an integer
+        # floor would explode the m-range whenever disc < 1
+        s = isqrt(_floor_pair(da * T * T, db * T * T, L2, D)) + 1
+        ca, cb = -n * B0[0] * T, -n * B0[1] * T
+        lo = _floor_quot((ca - s * L, cb), TA, D) - 1
+        hi = _floor_quot((ca + s * L, cb), TA, D) + 2
         for m in range(lo, hi + 1):
             x = m * u[0] + n * v[0]
             y = m * u[1] + n * v[1]

@@ -32,7 +32,8 @@ class QD:
     __slots__ = ("D", "a", "b", "q")
 
     def __init__(self, D: int, a, b=0, q: int = 1):
-        if isinstance(a, Fraction) or isinstance(b, Fraction):
+        # exact type tests: isinstance against the Rational ABC is slow here
+        if type(a) is not int or type(b) is not int:
             fa, fb = Fraction(a), Fraction(b)
             den = fa.denominator * fb.denominator // gcd(fa.denominator, fb.denominator)
             a = fa.numerator * (den // fa.denominator)

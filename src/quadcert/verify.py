@@ -4,11 +4,11 @@ Everything is recomputed from the certificate's (D, sequence, k, indices):
 the expansion round trip, witness values, every pair enumeration, and the
 squarefree status at the stated mode.  Stored bounds and candidate counts
 are never trusted.  The enumeration here is a separate implementation from
-the generation side: directed-rounding rational intervals around sqrt(D)
-drive the reduction and the Fincke-Pohst bounds, and only the final
-membership/succeq filters use exact integer sign tests.  Shared with
-generation is nothing beyond the exact-arithmetic kernel (integer sqrt,
-squarefree classifier).
+the generation side: dyadic integer intervals around sqrt(D) (integer
+endpoints over one power of two, no gcd) drive the reduction and the
+Fincke-Pohst bounds, and only the final membership/succeq filters use exact
+integer sign tests.  Shared with generation is nothing beyond the squarefree
+classifier; `latbox` and `qd` are not imported.
 
 Checks run cheapest-first so that tampered certificates are rejected before
 the expensive squarefree recomputation.
@@ -21,11 +21,10 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt
+from math import isqrt
 from typing import List, Optional, Tuple
 
 from .qarith import SquarefreeUndetermined, squarefree_status
-from .qd import frac_sqrt_outer
 
 
 class MalformedCertificate(Exception):
@@ -85,20 +84,24 @@ def _vsign(a: int, b: int, D: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# rational intervals
+# verifier-side box enumeration on dyadic integer intervals
 # ---------------------------------------------------------------------------
+
+def _sqrt_outer(x: Fraction, extra_bits: int) -> Fraction:
+    """Rational upper bound on sqrt(x) for x > 0, relative 2**-extra_bits."""
+    shift = extra_bits + max(0, (x.denominator.bit_length() - x.numerator.bit_length()) // 2 + 1)
+    s = 1 << shift
+    return Fraction(isqrt((x.numerator * s * s) // x.denominator) + 1, s)
+
+
+def _sqrtD_interval(D: int, prec_bits: int) -> Tuple[Fraction, Fraction]:
+    s = 1 << prec_bits
+    r = isqrt(D * s * s)
+    return Fraction(r, s), Fraction(r + 1, s)
+
 
 def _iv_add(x, y):
     return (x[0] + y[0], x[1] + y[1])
-
-
-def _iv_neg(x):
-    return (-x[1], -x[0])
-
-
-def _iv_mul(x, y):
-    ps = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
-    return (min(ps), max(ps))
 
 
 def _iv_scale(x, c: int):
@@ -112,92 +115,118 @@ def _iv_sq(x):
         return (x[0] * x[0], x[1] * x[1])
     if x[1] <= 0:
         return (x[1] * x[1], x[0] * x[0])
-    return (Fraction(0), max(x[0] * x[0], x[1] * x[1]))
+    return (0, max(x[0] * x[0], x[1] * x[1]))
 
 
-def _sqrtD_interval(D: int, prec_bits: int) -> Tuple[Fraction, Fraction]:
-    s = 1 << prec_bits
-    r = isqrt(D * s * s)
-    return Fraction(r, s), Fraction(r + 1, s)
+class _PrecisionExhausted(Exception):
+    """No attempt up to the precision cap gave a rigorous determinant bound."""
 
 
-# ---------------------------------------------------------------------------
-# verifier-side box enumeration
-# ---------------------------------------------------------------------------
+def _bits(x: Fraction) -> int:
+    return x.numerator.bit_length() + x.denominator.bit_length()
+
 
 def _vbox_enumerate(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, int]]:
     """All (x, y) with |sigma_h(x + y*omega)| <= S_h; interval-driven.
 
     The reduction uses midpoint Gram values (any unimodular basis is valid);
     the enumeration bounds use interval endpoints, so completeness never
-    depends on the approximation quality.
+    depends on the approximation quality.  Precision starts at D's bit length
+    and doubles.  Certificate boxes finish at 1.4-1.6 times that, so four
+    times the input size caps the work; past it the box is refused.
     """
-    prec = 96
+    cap = 4 * (D.bit_length() + _bits(S1) + _bits(S2)) + 256
+    prec = max(96, D.bit_length())
     while True:
         got = _vbox_attempt(D, S1, S2, prec)
         if got is not None:
             return got
-        prec *= 2
-        if prec > 100_000:  # cannot happen: det interval tightens linearly
-            raise AssertionError("interval precision runaway")
+        if prec >= cap:
+            raise _PrecisionExhausted(
+                f"box enumeration found no rigorous bound below {cap} bits")
+        prec = min(2 * prec, cap)
+
+
+def _vbox_gram(D, S1, S2, prec):
+    """(K, G11, G12, G22): integer intervals that enclose K times the Gram
+    entries of F(c) = (sigma_1(c)/S1)^2 + (sigma_2(c)/S2)^2 on {1, omega}.
+
+    With S_h = n_h/d_h and E = 2**prec (2**(prec+1) when D ≡ 1 mod 4),
+    K = (n1 n2 E)^2 makes every endpoint an integer: only sqrt(D), known to
+    2**-prec, is inexact.
+    """
+    e = 1 << prec
+    r = isqrt(D * e * e)  # r <= e*sqrt(D) < r + 1
+    if D % 4 == 1:
+        E = 2 * e
+        w = (e + r, e + r + 1)  # E * (1 + sqrt(D))/2
+        wc = (e - r - 1, e - r)
+    else:
+        E = e
+        w = (r, r + 1)
+        wc = (-r - 1, -r)
+    n1, d1 = S1.numerator, S1.denominator
+    n2, d2 = S2.numerator, S2.denominator
+    al, be = (d1 * n2) ** 2, (d2 * n1) ** 2  # K*F = (al sigma_1^2 + be sigma_2^2) E^2
+    g11 = (al + be) * E * E
+    G12 = ((al * w[0] + be * wc[0]) * E, (al * w[1] + be * wc[1]) * E)
+    w2, wc2 = _iv_sq(w), _iv_sq(wc)
+    G22 = (al * w2[0] + be * wc2[0], al * w2[1] + be * wc2[1])
+    return (n1 * n2 * E) ** 2, (g11, g11), G12, G22
 
 
 def _vbox_attempt(D, S1, S2, prec):
+    """One pass with sqrt(D) known to 2**-prec, or None when the intervals
+    are too wide for a rigorous lower bound on the determinant.  Gram values
+    are integers over K (`_vbox_gram`)."""
     half = D % 4 == 1
-    glo, ghi = _sqrtD_interval(D, prec)
-    if half:
-        w = ((1 + glo) / 2, (1 + ghi) / 2)
-        wc = ((1 - ghi) / 2, (1 - glo) / 2)
-    else:
-        w = (glo, ghi)
-        wc = (-ghi, -glo)
-    inv1 = 1 / (S1 * S1)
-    inv2 = 1 / (S2 * S2)
-    G11 = (inv1 + inv2, inv1 + inv2)
-    G12 = _iv_add((w[0] * inv1, w[1] * inv1), (wc[0] * inv2, wc[1] * inv2))
-    w2 = _iv_sq(w)
-    wc2 = _iv_sq(wc)
-    G22 = _iv_add((w2[0] * inv1, w2[1] * inv1), (wc2[0] * inv2, wc2[1] * inv2))
+    K, G11, G12, G22 = _vbox_gram(D, S1, S2, prec)
 
     def gram_iv(p, q):
         out = _iv_scale(G11, p[0] * q[0])
         out = _iv_add(out, _iv_scale(G12, p[0] * q[1] + p[1] * q[0]))
         return _iv_add(out, _iv_scale(G22, p[1] * q[1]))
 
-    def mid(x):
-        return (x[0] + x[1]) / 2
+    def mid2(x):  # twice the midpoint
+        return x[0] + x[1]
 
     u, v = (1, 0), (0, 1)
     for _ in range(512):
-        if mid(gram_iv(v, v)) < mid(gram_iv(u, u)):
+        if mid2(gram_iv(v, v)) < mid2(gram_iv(u, u)):
             u, v = v, u
-        den = mid(gram_iv(u, u))
+        den = mid2(gram_iv(u, u))
         if den <= 0:
             break  # degenerate midpoint; rigorous bounds below stay valid
-        mu = floor(mid(gram_iv(u, v)) / den + Fraction(1, 2))
+        mu = (2 * mid2(gram_iv(u, v)) + den) // (2 * den)  # round(mid ratio)
         if mu == 0:
             break
         v = (v[0] - mu * u[0], v[1] - mu * u[1])
-    if mid(gram_iv(v, v)) < mid(gram_iv(u, u)):
+    if mid2(gram_iv(v, v)) < mid2(gram_iv(u, u)):
         u, v = v, u
     A = gram_iv(u, u)
     B0 = gram_iv(u, v)
     C = gram_iv(v, v)
+    if A[0] <= 0 or C[0] <= 0:
+        return None  # A_lo*C_lo is a lower bound on A*C only for positive lows
     babs = max(abs(B0[0]), abs(B0[1]))
-    det_lo = A[0] * C[0] - babs * babs
+    det_lo = A[0] * C[0] - babs * babs  # <= K^2 * det
     if det_lo <= 0:
         return None  # precision too low for a rigorous determinant bound
-    n_max = floor(frac_sqrt_outer(2 * A[1] / det_lo)) + 1
+    # on F <= 2: n^2 <= 2A/det and |A m + B0 n| <= sqrt(2A - det n^2)
+    two_AK = 2 * A[1] * K
+    n_max = isqrt(two_AK // det_lo)
     out = []
     for n in range(-n_max, n_max + 1):
-        disc_hi = 2 * A[1] - det_lo * n * n
-        if disc_hi < 0:
+        disc = two_AK - det_lo * n * n  # >= K^2 (2A - det n^2)
+        if disc < 0:
             continue
-        sd = frac_sqrt_outer(disc_hi)
+        sd = isqrt(disc)
+        if sd * sd < disc:
+            sd += 1
         num_lo = min(-B0[0] * n, -B0[1] * n) - sd
         num_hi = max(-B0[0] * n, -B0[1] * n) + sd
-        m_lo = floor(min(num_lo / A[0], num_lo / A[1])) - 1
-        m_hi = floor(max(num_hi / A[0], num_hi / A[1])) + 2
+        m_lo = min(-(-num_lo // A[0]), -(-num_lo // A[1]))
+        m_hi = max(num_hi // A[0], num_hi // A[1])
         for m in range(m_lo, m_hi + 1):
             x = m * u[0] + n * v[0]
             y = m * u[1] + n * v[1]
@@ -391,9 +420,12 @@ def verify_certificate(obj) -> Verdict:
         nb = bx * bx - by * by * D  # N(beta) > 0: both witnesses totally positive
         hi1 = Fraction(bx) + Fraction(by) * ghi
         lo1 = Fraction(bx) + Fraction(by) * glo
-        S1 = frac_sqrt_outer(hi1, 20)
-        S2 = frac_sqrt_outer(Fraction(nb) / lo1, 20)
-        viol = _v_violators(D, bx, by, S1, S2)
+        S1 = _sqrt_outer(hi1, 20)
+        S2 = _sqrt_outer(Fraction(nb) / lo1, 20)
+        try:
+            viol = _v_violators(D, bx, by, S1, S2)
+        except _PrecisionExhausted as exc:
+            return Verdict(False, f"pair ({i},{j}): {exc}")
         if viol:
             return Verdict(False, f"pair ({i},{j}) has violators: {viol[:3]}")
 

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from typing import Dict, List
 
@@ -24,6 +25,7 @@ from quadcert.contfrac import alpha, expand_sqrt
 from quadcert.latbox import box_enumerate, box_enumerate_scan, coords_to_elem
 from quadcert.qarith import QuadElem, format_elem, succeq
 from quadcert.qd import QD, frac_sqrt_outer, sqrt_in_field
+from quadcert.verify import verify_certificate
 
 
 def test_select_witnesses_default_schema(cert_m1):
@@ -104,6 +106,20 @@ def test_certificate_m2(cert_m2):
     assert len(cert_m2.pair_checks) == 3
     assert all(not p.violators for p in cert_m2.pair_checks)
     assert "conditional" in cert_m2.conclusion_text()
+
+
+# sha256 of build_certificate(3).dumps(), as pinned by the cert-m3 benchmark
+# workload; the pair `candidates` counts are part of these bytes
+M3_SHA256 = "699563e97b7613dcad74caf79649c448dd5862620129dc76ba0ca64d1148e2d5"
+
+
+def test_m3_certificate_pinned():
+    """The M = 3 certificate (2632-digit D, six astronomically skewed pair
+    boxes) builds byte-identically and the verifier accepts it."""
+    text = build_certificate(3).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == M3_SHA256
+    v = verify_certificate(text)
+    assert v.accepted, v.reason
 
 
 def test_certificate_refuted_d13(cert_refuted_13):

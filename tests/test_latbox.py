@@ -16,6 +16,7 @@ from quadcert.latbox import (
 )
 from quadcert.qarith import QuadElem
 from quadcert.qd import QD
+from quadcert.verify import _vbox_enumerate
 
 
 def test_omega_basis():
@@ -59,6 +60,21 @@ def test_in_box_matches_reference(D, x, y, S1, S2, exact):
     assert got == _reference_in_box(D, x, y, S1, S2)
 
 
+ints = st.integers(-60, 60) | st.integers(-10 ** 40, 10 ** 40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(D=st.sampled_from(FIELDS), a=ints, b=ints, r=ints.filter(bool), c=ints, d=ints)
+@example(D=2, a=0, b=1, r=1, c=1, d=0)
+@example(D=5, a=-3, b=-1, r=2, c=0, d=-1)
+@example(D=7, a=5, b=-2, r=-3, c=-1, d=1)
+def test_floor_helpers_match_qd(D, a, b, r, c, d):
+    """The integer-pair floors equal QD's floor of the same value."""
+    assert latbox._floor_pair(a, b, r, D) == QD(D, a, b, r).floor()
+    if c or d:
+        assert latbox._floor_quot((a, b), (c, d), D) == (QD(D, a, b) / QD(D, c, d)).floor()
+
+
 @st.composite
 def scan_boxes(draw):
     """Boxes the y-scan accepts: generic ones in both D classes, C8-sized
@@ -96,6 +112,99 @@ def test_engines_agree_on_random_boxes(box):
     except ValueError:  # y-range beyond YSCAN_LIMIT: no oracle for this box
         return
     assert box_enumerate(D, S1, S2) == want
+    assert (0, 0) in want
+
+
+def _reference_gauss(D, S1, S2):
+    """The Gauss engine in exact QD arithmetic, the integer-pair engine's
+    oracle: every Gram entry, mu and line bound is a gcd-normalised QD."""
+    w = omega_basis(D)
+    wc = w.conj()
+    iS1 = QD(D, Fraction(1) / (Fraction(S1) ** 2))
+    iS2 = QD(D, Fraction(1) / (Fraction(S2) ** 2))
+    G11 = iS1 + iS2
+    G12 = w * iS1 + wc * iS2
+    G22 = w * w * iS1 + wc * wc * iS2
+
+    def gram(p, q):
+        return (G11 * (p[0] * q[0]) + G12 * (p[0] * q[1] + p[1] * q[0])
+                + G22 * (p[1] * q[1]))
+
+    u, v = (1, 0), (0, 1)
+    while True:
+        if gram(v, v) < gram(u, u):
+            u, v = v, u
+        mu = (gram(u, v) / gram(u, u)).round_nearest()
+        if mu != 0:
+            v = (v[0] - mu * u[0], v[1] - mu * u[1])
+        if not (gram(v, v) < gram(u, u)):
+            break
+    A, B0, C = gram(u, u), gram(u, v), gram(v, v)
+    det = A * C - B0 * B0
+    two = QD(D, 2)
+    n_max = (two * A / det).sqrt_floor()
+    in_box = latbox._in_box(D, S1, S2)
+    out = []
+    for n in range(-n_max, n_max + 1):
+        disc = two * A - det * (n * n)
+        if disc.sign() < 0:
+            continue
+        sd = QD(D, latbox._qd_sqrt_outer(disc, 24))
+        lo = ((B0 * (-n) - sd) / A).floor() - 1
+        hi = ((B0 * (-n) + sd) / A).floor() + 2
+        for m in range(lo, hi + 1):
+            x = m * u[0] + n * v[0]
+            y = m * u[1] + n * v[1]
+            if in_box(x, y):
+                out.append((x, y))
+    out.sort()
+    return out
+
+
+@pytest.fixture(scope="module")
+def pair_boxes(cert_m1, cert_m2):
+    """The certificate pair boxes of M = 1 and M = 2, each also with both
+    windows doubled as in the doubling audit: y-ranges up to ~2^67 with
+    sub-unit widths."""
+    out = []
+    for cert in (cert_m1, cert_m2):
+        for pc in cert.pair_checks:
+            out.append((cert.D, pc.s1_bound, pc.s2_bound))
+            out.append((cert.D, 2 * pc.s1_bound, 2 * pc.s2_bound))
+    return out
+
+
+@st.composite
+def engine_boxes(draw, pair_boxes):
+    """Generic boxes in both D classes (some far too long for the y-scan),
+    C8-sized boxes over Q(sqrt(5)) and the certificate pair boxes."""
+    kind = draw(st.sampled_from(["generic", "skewed", "c8", "pair"]))
+    if kind == "pair":
+        return draw(st.sampled_from(pair_boxes))
+    if kind == "c8":
+        D = 5
+        S1 = Fraction(draw(st.integers(1, 7 * 2 ** 12)), 2 ** 12)
+        S2 = Fraction(draw(st.integers(1, 7 * 2 ** 12)), 2 ** 12)
+    else:
+        D = draw(st.sampled_from(FIELDS + (10 ** 12 + 39, 2 ** 61 + 1)))
+        # skew 2^e at area S1*S2 <= 1500, so the box stays small
+        e = draw(st.integers(0, 120)) if kind == "skewed" else 0
+        S1 = Fraction(draw(st.integers(1, 60)) << e, draw(st.integers(1, 9)))
+        S2 = Fraction(draw(st.integers(1, 25)), draw(st.integers(1, 40)) << e)
+    if draw(st.booleans()):
+        S1, S2 = S2, S1
+    return D, S1, S2
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_gauss_matches_reference_engine(pair_boxes, data):
+    """The integer-pair Gauss engine, and the verifier's own dyadic-interval
+    engine, return exactly the QD reference engine's list."""
+    D, S1, S2 = data.draw(engine_boxes(pair_boxes))
+    want = _reference_gauss(D, S1, S2)
+    assert box_enumerate_gauss(D, S1, S2) == want
+    assert _vbox_enumerate(D, S1, S2) == want
     assert (0, 0) in want
 
 
@@ -173,8 +282,9 @@ def test_bounds_reject_non_totally_positive():
 
 
 def test_generation_and_verifier_enumerations_agree():
-    """Dual-route check: the QD-exact generation engine and the verifier's
-    interval engine must report identical violator sets on random pairs."""
+    """Dual-route check: the integer-pair generation engine and the
+    verifier's interval engine must report identical violator sets on
+    random pairs."""
     import random
 
     from quadcert.contfrac import alpha, expand_sqrt

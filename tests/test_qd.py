@@ -14,6 +14,14 @@ def test_basic_arithmetic():
     assert x.inverse() * x == QD(5, 1)
 
 
+def test_mixed_int_and_fraction_coordinates():
+    # one Fraction coordinate is enough to take the rational branch
+    assert QD(5, 1, Fraction(1, 2)) == QD(5, 2, 1, 2)
+    assert QD(5, Fraction(3, 4), 1) == QD(5, 3, 4, 4)
+    x = QD(5, 1, Fraction(1, 2))
+    assert (x.a, x.b, x.q) == (2, 1, 2)
+
+
 def test_floor_and_round():
     rng = random.Random(7)
     import math

@@ -1,11 +1,15 @@
 import copy
 import json
 import time
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quadcert import verify
+from quadcert.latbox import box_enumerate, omega_basis
+from quadcert.qd import QD
 from quadcert.verify import MalformedCertificate, Verdict, verify_certificate
 
 
@@ -245,3 +249,68 @@ def test_fuzz_mutated_certificate_is_verdict_or_malformed(cert_m1, data):
     except MalformedCertificate:
         pass
     assert time.perf_counter() - t0 < 5.0
+
+
+@st.composite
+def attempt_boxes(draw):
+    """Generic, C8-sized and skewed boxes in both D classes mod 4."""
+    kind = draw(st.sampled_from(["generic", "c8", "skewed"]))
+    if kind == "c8":
+        D = 5
+        S1 = Fraction(draw(st.integers(1, 7 * 2 ** 12)), 2 ** 12)
+        S2 = Fraction(draw(st.integers(1, 7 * 2 ** 12)), 2 ** 12)
+    else:
+        D = draw(st.sampled_from([2, 3, 5, 13, 94, 393, 10 ** 12 + 39, 2 ** 61 + 1]))
+        e = draw(st.integers(0, 100)) if kind == "skewed" else 0
+        S1 = Fraction(draw(st.integers(1, 60)) << e, draw(st.integers(1, 9)))
+        S2 = Fraction(draw(st.integers(1, 25)), draw(st.integers(1, 40)) << e)
+    if draw(st.booleans()):
+        S1, S2 = S2, S1
+    return D, S1, S2
+
+
+@settings(max_examples=200, deadline=None)
+@given(box=attempt_boxes(), prec=st.integers(2, 128))
+@example(box=(2, Fraction(18), Fraction(10, 19)), prec=11)
+@example(box=(3, Fraction(4, 7), Fraction(33, 4)), prec=7)
+def test_low_precision_attempt_is_none_or_exact(box, prec):
+    """Below the production precision an attempt may give up, but whatever
+    it returns is the complete box."""
+    got = verify._vbox_attempt(*box, prec)
+    assert got is None or got == box_enumerate(*box)
+
+
+def test_precision_cap_follows_D(monkeypatch):
+    """A ~110,000-bit D whose attempts fail below three times its bit length
+    still gets its box; a fixed cap of 100,000 bits used to raise here."""
+    D = 2 ** 110_000 + 1
+    S1 = S2 = Fraction(3, 2)
+    real = verify._vbox_attempt
+    tried = []
+
+    def attempt(D, S1, S2, prec):
+        tried.append(prec)
+        return None if prec < 3 * D.bit_length() else real(D, S1, S2, prec)
+
+    monkeypatch.setattr(verify, "_vbox_attempt", attempt)
+    assert verify._vbox_enumerate(D, S1, S2) == [(-1, 0), (0, 0), (1, 0)]
+    assert tried[0] == D.bit_length()
+
+
+def test_precision_cap_rejects_without_traceback(cert_m1, monkeypatch):
+    monkeypatch.setattr(verify, "_vbox_attempt", lambda D, S1, S2, prec: None)
+    v = verify_certificate(cert_m1.to_json())
+    assert not v.accepted and "no rigorous bound" in v.reason
+
+
+@settings(max_examples=150, deadline=None)
+@given(box=attempt_boxes(), prec=st.integers(2, 128))
+def test_gram_intervals_enclose_exact_values(box, prec):
+    """Each integer Gram interval holds K times the exact Q(sqrt(D)) entry."""
+    D, S1, S2 = box
+    K, G11, G12, G22 = verify._vbox_gram(D, S1, S2, prec)
+    w = omega_basis(D)
+    i1, i2 = QD(D, 1 / S1 ** 2), QD(D, 1 / S2 ** 2)
+    exact = (i1 + i2, w * i1 + w.conj() * i2, w * w * i1 + w.conj() * w.conj() * i2)
+    for (lo, hi), g in zip((G11, G12, G22), exact):
+        assert QD(D, lo) <= g * K <= QD(D, hi)
