@@ -132,8 +132,9 @@ def _vbox_enumerate(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, int]]
     The reduction uses midpoint Gram values (any unimodular basis is valid);
     the enumeration bounds use interval endpoints, so completeness never
     depends on the approximation quality.  Precision starts at D's bit length
-    and doubles.  Certificate boxes finish at 1.4-1.6 times that, so four
-    times the input size caps the work; past it the box is refused.
+    and doubles; the M = 2 and M = 3 certificate boxes finish at one or two
+    times D's bit length.  Four times the input size caps the work, and past
+    it the box is refused.
     """
     cap = 4 * (D.bit_length() + _bits(S1) + _bits(S2)) + 256
     prec = max(96, D.bit_length())
