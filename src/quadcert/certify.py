@@ -26,10 +26,12 @@ from .contfrac import SurdExpansion, convergents, expand_sqrt
 from .friesen import SymSequence, admissible_k, construct_sequence, derive_D
 from .latbox import box_enumerate, coords_to_elem, omega_basis, sqrt_embedding_bounds
 from .qarith import (
+    MAX_TRIAL_BOUND,
     QuadElem,
     SquarefreeStatus,
     SquarefreeUndetermined,
     format_elem,
+    isqrt,
     parse_elem,
     squarefree_status,
     succeq,
@@ -219,6 +221,9 @@ def build_certificate(
     """
     if M < 1:
         raise ValueError("M must be >= 1")
+    if type(sf_bound) is not int or not 2 <= sf_bound <= MAX_TRIAL_BOUND:
+        # the verifier calls a certificate stating such a bound malformed
+        raise ValueError(f"squarefree bound must be an integer in [2, {MAX_TRIAL_BOUND}]")
     if sf_mode is None:
         sf_mode = "exact" if M == 1 else "probable"
     if force_D is not None:
@@ -313,7 +318,7 @@ class QuadraticForm:
         for i in range(1, self.n + 1):
             for j in range(i, self.n + 1):
                 c = self.coeff(i, j)
-                v = QD(self.D, Fraction(c.a, c.den), Fraction(c.b, c.den))
+                v = _elem_to_qd(c)
                 if i == j:
                     B[i - 1][i - 1] = v
                 else:
@@ -389,7 +394,7 @@ class RepresentResult:
 
 
 def _elem_to_qd(x: QuadElem) -> QD:
-    return QD(x.D, Fraction(x.a, x.den), Fraction(x.b, x.den))
+    return QD(x.D, x.a, x.b, x.den)
 
 
 def _qd_to_elem(x: QD) -> Optional[QuadElem]:
@@ -408,16 +413,17 @@ def totally_positive_up_to(D: int, trace_bound: int) -> List[QuadElem]:
     if trace_bound < 1:
         raise ValueError("trace_bound must be >= 1")
     out = []
-    # den = 1: trace 2a; totally positive <=> a >= 1 and a^2 > b^2 D
+    # den = 1: trace 2a; totally positive <=> a >= 1 and a^2 > b^2 D, that is
+    # b^2 <= (a^2 - 1) // D
     for a in range(1, trace_bound // 2 + 1):
-        bmax = 0 if a * a <= D else _isqrt_floor((a * a - 1) // D)
+        bmax = isqrt((a * a - 1) // D)
         for b in range(-bmax, bmax + 1):
             x = QuadElem(D, a, b, 1)
             assert x.is_totally_positive()
             out.append(x)
     if D % 4 == 1:
         for a in range(1, trace_bound + 1, 2):
-            bmax = 0 if a * a <= D else _isqrt_floor((a * a - 1) // D)
+            bmax = isqrt((a * a - 1) // D)
             for b in range(-bmax, bmax + 1):
                 if b % 2 == 0 or b == 0:
                     continue
@@ -426,12 +432,6 @@ def totally_positive_up_to(D: int, trace_bound: int) -> List[QuadElem]:
                 out.append(x)
     out.sort(key=lambda x: (x.trace(), x.norm(), x.a, x.b))
     return out
-
-
-def _isqrt_floor(n: int) -> int:
-    from .qarith import isqrt
-
-    return isqrt(n) if n >= 0 else 0
 
 
 def decide_represent(form: QuadraticForm, target: QuadElem) -> RepresentResult:

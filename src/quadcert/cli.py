@@ -4,7 +4,8 @@ Subcommands: cf, friesen-check, friesen-search, construct, certify, verify,
 smallnorm, power-trace, represent, tp-list.  Every subcommand takes --json;
 JSON output echoes the effective configuration, is canonically sorted, and
 is independent of --threads, which only certify uses.  Exit codes: 0
-success/accepted, 1 rejected (verify), 2 usage or malformed input.
+success/accepted, 1 rejected (verify) or refuted (certify), 2 usage,
+malformed input or an error (printed as an `error:` line on stderr).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import warnings
 from fractions import Fraction
 
 from .certify import (
+    CertificateError,
     build_certificate,
     decide_represent,
     pair_refute,
@@ -25,7 +27,7 @@ from .certify import (
 )
 from .contfrac import bound_checks_stream, expand_sqrt
 from .friesen import SymSequence, construct_sequence, parity_condition, search_k
-from .qarith import QuadElem, format_elem, parse_elem, squarefree_status
+from .qarith import SquarefreeUndetermined, format_elem, parse_elem
 from .smallnorm import audit_lemma, classify_elements, enumerate_small_norm, power_trace
 from .verify import MalformedCertificate, verify_file
 
@@ -347,7 +349,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, CertificateError, SquarefreeUndetermined) as exc:
+        # exit 1 is a verdict (rejected or refuted), never a failure
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

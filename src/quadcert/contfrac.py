@@ -25,6 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .qarith import QuadElem, is_square, isqrt
+from .qd import _sign_pair
 
 
 class PeriodCapExceeded(Exception):
@@ -134,11 +135,6 @@ def alpha(e: SurdExpansion, i: int) -> QuadElem:
     return QuadElem(e.D, c.p, c.q)
 
 
-def _cmp_int_vs_sqrtD(A: int, B: int, D: int) -> int:
-    """Sign of A - B*sqrt(D), exactly."""
-    return QuadElem(D, A, -B).sign()
-
-
 @dataclass(frozen=True)
 class FractionBoundCheck:
     lower_holds: bool
@@ -193,9 +189,9 @@ def bound_checks_stream(e: SurdExpansion, n: int):
         aN = abs(N)
         fb = FractionBoundCheck(
             # p + q sqrt(D) < (u+2) q N
-            lower_holds=_cmp_int_vs_sqrtD((u_next + 2) * c.q * aN - c.p, c.q, e.D) > 0,
+            lower_holds=_sign_pair((u_next + 2) * c.q * aN - c.p, -c.q, e.D) > 0,
             # u q N < p + q sqrt(D)
-            upper_holds=_cmp_int_vs_sqrtD(u_next * c.q * aN - c.p, c.q, e.D) < 0,
+            upper_holds=_sign_pair(u_next * c.q * aN - c.p, -c.q, e.D) < 0,
         )
         nb = NormBoundCheck(
             lower_holds=(aN * (2 * u_next + 5)) ** 2 > 16 * e.D,
@@ -211,7 +207,7 @@ def interlacing_check(e: SurdExpansion, n: int) -> bool:
         raise ValueError("need n >= 4")
     cs = convergents(e, n)
     for c in cs:
-        side = _cmp_int_vs_sqrtD(c.p, c.q, e.D)
+        side = _sign_pair(c.p, -c.q, e.D)  # p - q sqrt(D)
         if c.i % 2 == 0 and side >= 0:
             return False
         if c.i % 2 == 1 and side <= 0:

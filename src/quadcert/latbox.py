@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, List, Tuple
 
 from .qarith import QuadElem, isqrt
-from .qd import QD, _sign_pair, frac_sqrt_outer
+from .qd import QD, _floor_pair, _sign_pair, frac_sqrt_outer
 
 # largest y-range the test cross-check `box_enumerate_scan` accepts: it pays
 # exact Q(sqrt(D)) interval arithmetic per y, where the Gauss engine pays per
@@ -100,20 +100,6 @@ def _in_box(D: int, S1: Fraction, S2: Fraction) -> Callable[[int, int], bool]:
                 and _sign_pair(P2 - a2, b2, D) >= 0 and _sign_pair(P2 + a2, -b2, D) >= 0)
 
     return in_box
-
-
-def _floor_pair(a: int, b: int, r: int, D: int) -> int:
-    """floor((a + b*sqrt(D))/r) for integers a, b, r != 0 and nonsquare D.
-
-    Exact with no fix-up: floor(x/r) = floor(floor(x)/r) for r > 0, and
-    floor(b*sqrt(D)) is an isqrt.
-    """
-    if r < 0:
-        a, b, r = -a, -b, -r
-    t = isqrt(b * b * D)
-    if b < 0:
-        t = -t - 1  # b*sqrt(D) is irrational, so its floor lies below -isqrt
-    return (a + t) // r
 
 
 def _floor_quot(x: Tuple[int, int], y: Tuple[int, int], D: int) -> int:
@@ -214,25 +200,20 @@ def sqrt_embedding_bounds(beta: QuadElem, extra_bits: int = 24) -> Tuple[Fractio
 
     sigma_2(beta) is computed as N(beta)/sigma_1(beta) through a rational
     lower bound on sigma_1, so S2 stays tight even when the conjugate is
-    vanishingly small (which is exactly the certificate situation).
+    vanishingly small (which is exactly the certificate situation).  Both
+    sigma_1 bounds are exact floors of (a + b*sqrt(D))/den scaled by a power
+    of two.
     """
-    D = beta.D
-    s1 = QD(D, Fraction(beta.a, beta.den), Fraction(beta.b, beta.den))
-    if s1.sign() <= 0 or s1.conj().sign() <= 0:
+    if not beta.is_totally_positive():
         raise ValueError("beta must be totally positive")
-    S1 = _qd_sqrt_outer(s1, extra_bits)
-    n = Fraction(beta.norm())
+    D, a, b, den = beta.D, beta.a, beta.b, beta.den
+    e2 = 2 * extra_bits
+    S1 = Fraction(isqrt(_floor_pair(a << e2, b << e2, den, D)) + 1, 1 << extra_bits)
     bits = extra_bits
-    lo1 = s1.lower_frac(bits)
+    lo1 = _floor_pair(a << bits, b << bits, den, D)
     while lo1 <= 0:  # sigma_1 smaller than the resolution: sharpen
         bits *= 2
-        lo1 = s1.lower_frac(bits)
-    s2_outer = n / lo1  # >= sigma_2
+        lo1 = _floor_pair(a << bits, b << bits, den, D)
+    s2_outer = Fraction(beta.norm() << bits, lo1)  # >= sigma_2
     S2 = frac_sqrt_outer(s2_outer, extra_bits)
     return S1, S2
-
-
-def _qd_sqrt_outer(x: QD, extra_bits: int) -> Fraction:
-    scale = 1 << extra_bits
-    n = (x * (scale * scale)).floor()
-    return Fraction(isqrt(n) + 1, scale)

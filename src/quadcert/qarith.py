@@ -2,43 +2,36 @@
 
 `QuadElem` models (a + b*sqrt(D))/den with den in {1, 2}; den = 2 is legal
 only when D ≡ 1 (mod 4) and a ≡ b (mod 2), i.e. exactly the extra elements
-of the ring of integers Z[(1+sqrt(D))/2].  All comparisons clear
-denominators and square once with sign bookkeeping — no floating point in
-any decision path.
+of the ring of integers Z[(1+sqrt(D))/2].  Every comparison is
+`qd._sign_pair` on the numerator (den > 0 cannot change a sign) — no
+floating point in any decision path.
 
-Also here: integer square roots, squarefree testing (exact proof or trial
-division to a bound), and a deterministic Miller-Rabin for the range where
-it is a proof.
+Also here: `isqrt` (re-exported from `math`), squarefree testing (exact
+proof or trial division to a bound, capped at MAX_TRIAL_BOUND), and a
+deterministic Miller-Rabin for the range where it is a proof.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd, prod
-from math import isqrt as _isqrt
+from math import gcd, isqrt, prod
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels
+from .qd import _sign_pair
 
 
 class SquarefreeUndetermined(Exception):
     """Exact squarefree classification exceeded the factoring budget."""
 
 
-def isqrt(n: int) -> int:
-    """floor(sqrt(n)), exact at any bit length."""
-    if n < 0:
-        raise ValueError("isqrt of a negative integer")
-    return _isqrt(n)
-
-
 def is_square(n: int) -> bool:
     if n < 0:
         return False
-    r = _isqrt(n)
+    r = isqrt(n)
     return r * r == n
 
 
@@ -143,16 +136,7 @@ class QuadElem:
 
     def sign(self) -> int:
         """Sign of the real value under the leading embedding, exactly."""
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        if a > 0:  # b < 0: compare a^2 with b^2 D
-            return 1 if a * a > b * b * self.D else -1
-        return 1 if a * a < b * b * self.D else -1
+        return _sign_pair(self.a, self.b, self.D)
 
     def is_totally_positive(self) -> bool:
         return self.sign() > 0 and self.conjugate().sign() > 0
@@ -389,6 +373,10 @@ class SquarefreeStatus:
 
 
 DEFAULT_TRIAL_BOUND = 10 ** 7
+# Largest squarefree trial bound a certificate may state: the scan's work and
+# its sieve's base table grow with the bound.  The generator refuses a larger
+# one and the verifier calls it malformed.
+MAX_TRIAL_BOUND = 10 ** 9
 DEFAULT_RHO_BUDGET = 40_000_000
 
 
@@ -404,7 +392,7 @@ def _odd_primes_upto(r: int) -> list:
     flags = np.ones(r + 1, dtype=bool)
     flags[:3] = False
     flags[4::2] = False
-    for p in range(3, _isqrt(r) + 1, 2):
+    for p in range(3, isqrt(r) + 1, 2):
         if flags[p]:
             flags[p * p::2 * p] = False
     return np.flatnonzero(flags).tolist()
@@ -413,7 +401,7 @@ def _odd_primes_upto(r: int) -> list:
 def _odd_prime_segments(limit: int):
     """Yield the odd primes in [3, limit] in increasing order, one list per
     segment of _SIEVE_SEGMENT consecutive odd numbers."""
-    base = _odd_primes_upto(_isqrt(limit))
+    base = _odd_primes_upto(isqrt(limit))
     lo = 3
     while lo <= limit:
         size = min(_SIEVE_SEGMENT, (limit - lo) // 2 + 1)
@@ -448,7 +436,7 @@ def _trial_square_scan(n: int, bound: int):
         n //= 2
         if n % 2 == 0:
             return 0, 2, n
-    for primes in _odd_prime_segments(min(bound, _isqrt(n))):
+    for primes in _odd_prime_segments(min(bound, isqrt(n))):
         acc = 1
         for i in range(0, len(primes), _PRIME_CHUNK):
             acc = acc * prod(primes[i:i + _PRIME_CHUNK]) % n

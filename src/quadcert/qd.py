@@ -1,12 +1,16 @@
 """Exact arithmetic in Q(sqrt(D)) with unrestricted rational coordinates.
 
 `QD` represents (a + b*sqrt(D))/q with integer a, b and q > 0, normalized so
-that gcd(a, b, q) = 1.  It is the internal workhorse for bound arithmetic,
-Gram/Schur matrices and lattice-box enumeration; the public ring-of-integers
-type with den in {1, 2} lives in `qarith`.
+that gcd(a, b, q) = 1.  It serves the representability decider (Gram matrix,
+UDU^T factorisation, inverse, coordinate boxes, `sqrt_in_field`) and the
+tests' y-scan oracle; the public ring-of-integers type with den in {1, 2}
+lives in `qarith`.
 
-Every comparison is decided by integer sign bookkeeping and one squaring —
-no floating point anywhere.
+Also here, on bare integers, are the generation side's two exact primitives
+on a + b*sqrt(D): `_sign_pair` (integer sign bookkeeping and one squaring)
+and `_floor_pair` (one isqrt and one floor division).  `QuadElem`, `QD`,
+`contfrac` and `latbox` all decide through them; the verifier keeps its own.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -26,6 +30,20 @@ def _sign_pair(a: int, b: int, D: int) -> int:
     if a > 0:  # b < 0
         return 1 if a * a > b * b * D else -1
     return 1 if a * a < b * b * D else -1
+
+
+def _floor_pair(a: int, b: int, r: int, D: int) -> int:
+    """floor((a + b*sqrt(D))/r) for integers a, b, r != 0 and nonsquare D.
+
+    Exact with no fix-up: floor(x/r) = floor(floor(x)/r) for r > 0, and
+    floor(b*sqrt(D)) is an isqrt.
+    """
+    if r < 0:
+        a, b, r = -a, -b, -r
+    t = isqrt(b * b * D)
+    if b < 0:
+        t = -t - 1  # b*sqrt(D) is irrational, so its floor lies below -isqrt
+    return (a + t) // r
 
 
 class QD:
@@ -150,42 +168,21 @@ class QD:
 
     def floor(self) -> int:
         """Exact floor of the real value under the leading embedding."""
-        # estimate floor(b*sqrt(D)) by isqrt, then fix with exact comparisons
-        if self.b >= 0:
-            t = isqrt(self.b * self.b * self.D)
-        else:
-            t = -isqrt(self.b * self.b * self.D) - 1
-        n = (self.a + t) // self.q - 1
-        # invariant sought: n <= self < n+1
-        while _sign_pair(self.a - (n + 1) * self.q, self.b, self.D) >= 0:
-            n += 1
-        return n
+        return _floor_pair(self.a, self.b, self.q, self.D)
 
     def round_nearest(self) -> int:
         return (self + Fraction(1, 2)).floor()
 
     def sqrt_floor(self) -> int:
-        """floor(sqrt(self)) for self >= 0."""
+        """floor(sqrt(self)) for self >= 0: floor(sqrt(x)) = isqrt(floor(x))."""
         if self.sign() < 0:
             raise ValueError("sqrt_floor of a negative value")
-        n = isqrt(max(self.floor(), 0))
-        while _sign_pair(self.a - (n + 1) * (n + 1) * self.q, self.b, self.D) >= 0:
-            n += 1
-        return n
+        return isqrt(max(self.floor(), 0))
 
     def upper_frac(self, extra_bits: int = 16) -> Fraction:
         """Rational upper bound on the real value, within 2**-extra_bits."""
         scale = 1 << extra_bits
         return Fraction((self * scale).floor() + 1, scale)
-
-    def lower_frac(self, extra_bits: int = 16) -> Fraction:
-        scale = 1 << extra_bits
-        return Fraction((self * scale).floor(), scale)
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError("not a rational element")
-        return Fraction(self.a, self.q)
 
     def __repr__(self):
         return f"QD({self.D}, {self.a}, {self.b}, {self.q})"
@@ -212,17 +209,6 @@ def frac_sqrt_outer(x: Fraction, extra_bits: int = 16) -> Fraction:
     s = 1 << shift
     n = isqrt((x.numerator * s * s) // x.denominator) + 1
     return Fraction(n, s)
-
-
-def frac_sqrt_inner(x: Fraction, extra_bits: int = 16) -> Fraction:
-    """Rational lower bound on sqrt(x)."""
-    if x < 0:
-        raise ValueError("sqrt of negative")
-    if x == 0:
-        return Fraction(0)
-    shift = extra_bits + max(0, (x.denominator.bit_length() - x.numerator.bit_length()) // 2 + 1)
-    s = 1 << shift
-    return Fraction(isqrt((x.numerator * s * s) // x.denominator), s)
 
 
 def sqrt_in_field(theta: QD):

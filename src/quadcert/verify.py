@@ -8,7 +8,7 @@ the generation side: dyadic integer intervals around sqrt(D) (integer
 endpoints over one power of two, no gcd) drive the reduction and the
 Fincke-Pohst bounds, and only the final membership/succeq filters use exact
 integer sign tests.  Shared with generation is nothing beyond the squarefree
-classifier; `latbox` and `qd` are not imported.
+classifier and its trial-bound cap; `latbox` and `qd` are not imported.
 
 Checks run cheapest-first so that tampered certificates are rejected before
 the expensive squarefree recomputation.
@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import List, Optional, Tuple
 
-from .qarith import SquarefreeUndetermined, squarefree_status
+from .qarith import MAX_TRIAL_BOUND, SquarefreeUndetermined, squarefree_status
 
 
 class MalformedCertificate(Exception):
@@ -38,10 +38,6 @@ class Verdict:
 
 
 _DEC_RE = re.compile(r"^-?\d+$")
-
-# Largest squarefree trial bound the verifier re-runs: the scan's work and its
-# sieve's base table grow with the bound, so a stated bound is capped here.
-MAX_TRIAL_BOUND = 10 ** 9
 
 
 def _is_int(v) -> bool:

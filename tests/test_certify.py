@@ -42,6 +42,18 @@ def test_select_witnesses_period_too_short():
         select_witnesses(expand_sqrt(13), 1)  # r = 2 < 3
 
 
+@pytest.mark.parametrize("bound", [0, 1, 10 ** 9 + 1, True])
+def test_build_refuses_bound_the_verifier_calls_malformed(bound):
+    with pytest.raises(ValueError, match="squarefree bound"):
+        build_certificate(1, sf_mode="probable", sf_bound=bound)
+
+
+def test_build_at_bound_floor_verifies():
+    cert = build_certificate(1, sf_mode="probable", sf_bound=2)
+    assert cert.soundness == "conditional"
+    assert verify_certificate(cert.to_json()).accepted
+
+
 def test_select_witnesses_validation():
     e = expand_sqrt(13)
     with pytest.raises(ValueError):

@@ -111,6 +111,26 @@ def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("bound", ["1", "1000000001"])
+def test_certify_bound_outside_verifier_range_exit_code(capsys, bound):
+    code = main(["certify", "-M", "1", "--squarefree", f"probable:{bound}"])
+    assert code == 2
+    assert "error: squarefree bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "-M", "1", "--k-search", "0"],
+    # D = k^2 + 1 is a probable prime beyond the deterministic Miller-Rabin range
+    ["certify", "-M", "1", "--force-D", "4000000000080000000000401", "--indices", "1,3"],
+], ids=["no-field", "squarefree-undetermined"])
+def test_certify_error_exit_code(capsys, argv):
+    """Exit 1 means refuted; a certify run that cannot finish exits 2."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+
+
 def test_friesen_search_probable_mode(capsys):
     code, out = run_cli(capsys, "--json", "friesen-search", "1", "--k", "1..3",
                         "--squarefree", "probable:1000")

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,7 @@ from quadcert.latbox import (
     sqrt_embedding_bounds,
 )
 from quadcert.qarith import QuadElem
-from quadcert.qd import QD
+from quadcert.qd import QD, frac_sqrt_outer
 from quadcert.verify import _vbox_enumerate
 
 
@@ -63,16 +65,53 @@ def test_in_box_matches_reference(D, x, y, S1, S2, exact):
 ints = st.integers(-60, 60) | st.integers(-10 ** 40, 10 ** 40)
 
 
+def _ref_sign(a, b, D):
+    """Sign of a + b*sqrt(D): t -> t|t| is increasing, so compare squares."""
+    v = a * abs(a) + b * abs(b) * D
+    return (v > 0) - (v < 0)
+
+
+def _reference_floor(a, b, q, D):
+    """floor((a + b*sqrt(D))/q) as the former QD.floor computed it: estimate
+    floor(b*sqrt(D)) by isqrt, then step n until n <= value < n + 1 holds by
+    exact sign tests."""
+    if q < 0:
+        a, b, q = -a, -b, -q
+    t = isqrt(b * b * D) if b >= 0 else -isqrt(b * b * D) - 1
+    n = (a + t) // q - 1
+    while _ref_sign(a - n * q, b, D) < 0:
+        n -= 1
+    while _ref_sign(a - (n + 1) * q, b, D) >= 0:
+        n += 1
+    return n
+
+
+def _ref_qd_floor(x):
+    return _reference_floor(x.a, x.b, x.q, x.D)
+
+
 @settings(max_examples=300, deadline=None)
 @given(D=st.sampled_from(FIELDS), a=ints, b=ints, r=ints.filter(bool), c=ints, d=ints)
 @example(D=2, a=0, b=1, r=1, c=1, d=0)
 @example(D=5, a=-3, b=-1, r=2, c=0, d=-1)
 @example(D=7, a=5, b=-2, r=-3, c=-1, d=1)
-def test_floor_helpers_match_qd(D, a, b, r, c, d):
-    """The integer-pair floors equal QD's floor of the same value."""
-    assert latbox._floor_pair(a, b, r, D) == QD(D, a, b, r).floor()
+@example(D=2, a=50, b=0, r=1, c=0, d=0)
+def test_floor_helpers_match_reference(D, a, b, r, c, d):
+    """The integer-pair floors, QD.floor and QD.sqrt_floor equal the
+    estimate-and-step reference floor of the same value."""
+    want = _reference_floor(a, b, r, D)
+    assert latbox._floor_pair(a, b, r, D) == want
+    assert QD(D, a, b, r).floor() == want
     if c or d:
-        assert latbox._floor_quot((a, b), (c, d), D) == (QD(D, a, b) / QD(D, c, d)).floor()
+        q = QD(D, a, b) / QD(D, c, d)
+        assert latbox._floor_quot((a, b), (c, d), D) == _ref_qd_floor(q)
+    x = QD(D, a, b, r)
+    if x.sign() >= 0:
+        n = x.sqrt_floor()
+        assert n == isqrt(max(want, 0))
+        # n^2 <= x < (n + 1)^2
+        assert _ref_sign(x.a - n * n * x.q, x.b, D) >= 0
+        assert _ref_sign(x.a - (n + 1) ** 2 * x.q, x.b, D) < 0
 
 
 @st.composite
@@ -115,6 +154,12 @@ def test_engines_agree_on_random_boxes(box):
     assert (0, 0) in want
 
 
+def _qd_sqrt_outer(x, extra_bits):
+    """Outer bound (isqrt(floor(x 2^(2e))) + 1)/2^e on sqrt(x), e = extra_bits."""
+    scale = 1 << extra_bits
+    return Fraction(isqrt(_ref_qd_floor(x * (scale * scale))) + 1, scale)
+
+
 def _reference_gauss(D, S1, S2):
     """The Gauss engine in exact QD arithmetic, the integer-pair engine's
     oracle: every Gram entry, mu and line bound is a gcd-normalised QD."""
@@ -149,7 +194,7 @@ def _reference_gauss(D, S1, S2):
         disc = two * A - det * (n * n)
         if disc.sign() < 0:
             continue
-        sd = QD(D, latbox._qd_sqrt_outer(disc, 24))
+        sd = QD(D, _qd_sqrt_outer(disc, 24))
         lo = ((B0 * (-n) - sd) / A).floor() - 1
         hi = ((B0 * (-n) + sd) / A).floor() + 2
         for m in range(lo, hi + 1):
@@ -281,6 +326,39 @@ def test_bounds_reject_non_totally_positive():
         sqrt_embedding_bounds(QuadElem(13, 1, 1))
 
 
+def _reference_sqrt_embedding_bounds(beta, extra_bits=24):
+    """The former QD version of sqrt_embedding_bounds, on the reference floor."""
+    D = beta.D
+    s1 = QD(D, Fraction(beta.a, beta.den), Fraction(beta.b, beta.den))
+    if s1.sign() <= 0 or s1.conj().sign() <= 0:
+        raise ValueError("beta must be totally positive")
+    S1 = _qd_sqrt_outer(s1, extra_bits)
+    bits = extra_bits
+    lo1 = Fraction(_ref_qd_floor(s1 * (1 << bits)), 1 << bits)
+    while lo1 <= 0:
+        bits *= 2
+        lo1 = Fraction(_ref_qd_floor(s1 * (1 << bits)), 1 << bits)
+    return S1, frac_sqrt_outer(Fraction(beta.norm()) / lo1, extra_bits)
+
+
+def test_sqrt_embedding_bounds_match_reference():
+    """Every odd-index witness pair i < j < 40 over nine fields, and negative
+    unit powers whose sigma_1 lies below 2^-24, so the sharpening loop runs."""
+    from quadcert.contfrac import convergents, expand_sqrt
+
+    betas = []
+    for D in (2, 3, 5, 13, 61, 94, 718, 1999, 2011):
+        cs = convergents(expand_sqrt(D), 40)
+        alphas = [QuadElem(D, c.p, c.q) for c in cs[1::2]]
+        betas += [4 * a * b for a, b in combinations(alphas, 2)]
+    assert len(betas) == 1710
+    units = [QuadElem(2, -1, 1) ** 40, QuadElem(5, -1, 1, 2) ** 60]
+    for u in units:  # floor(sigma_1 * 2^24) = 0: the loop sharpens
+        assert _reference_floor(u.a << 24, u.b << 24, u.den, u.D) == 0
+    for beta in betas + units:
+        assert sqrt_embedding_bounds(beta) == _reference_sqrt_embedding_bounds(beta)
+
+
 def test_generation_and_verifier_enumerations_agree():
     """Dual-route check: the integer-pair generation engine and the
     verifier's interval engine must report identical violator sets on
@@ -289,7 +367,6 @@ def test_generation_and_verifier_enumerations_agree():
 
     from quadcert.contfrac import alpha, expand_sqrt
     from quadcert.certify import pair_refute
-    from quadcert.qd import frac_sqrt_outer
     from quadcert.verify import _sqrtD_interval, _v_violators
 
     rng = random.Random(424242)

@@ -1,7 +1,12 @@
 import random
 from fractions import Fraction
 
-from quadcert.qd import QD, frac_sqrt_exact, frac_sqrt_inner, frac_sqrt_outer, sqrt_in_field
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from quadcert.qarith import QuadElem
+from quadcert.qd import QD, _sign_pair, frac_sqrt_exact, frac_sqrt_outer, sqrt_in_field
+from quadcert.verify import _vsign
 
 
 def test_basic_arithmetic():
@@ -49,9 +54,8 @@ def test_sqrt_floor():
 def test_frac_sqrt_bounds():
     for v in (Fraction(2), Fraction(1, 3), Fraction(10 ** 30, 7), Fraction(1, 10 ** 25)):
         hi = frac_sqrt_outer(v)
-        lo = frac_sqrt_inner(v)
-        assert lo * lo <= v <= hi * hi
-        assert hi - lo < hi / 1000  # tight
+        assert v <= hi * hi
+        assert (hi * Fraction(999, 1000)) ** 2 < v  # tight
 
 
 def test_frac_sqrt_exact():
@@ -78,6 +82,26 @@ def test_sqrt_in_field():
 
 def test_upper_lower_frac():
     x = QD(2, 0, 1)  # sqrt(2)
-    lo, hi = x.lower_frac(), x.upper_frac()
+    hi = x.upper_frac()
+    lo = hi - Fraction(1, 1 << 16)  # within 2**-16
     assert lo * lo < 2 < hi * hi
-    assert hi - lo <= Fraction(2, 1 << 16)
+
+
+ints = st.integers(-60, 60) | st.integers(-10 ** 40, 10 ** 40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(D=st.sampled_from([2, 3, 5, 7, 13, 61, 94, 2011, 2 ** 61 + 1]), a=ints, b=ints)
+@example(D=2, a=0, b=0)
+@example(D=2, a=3, b=-2)  # 9 > 8
+@example(D=2, a=-3, b=2)
+@example(D=13, a=10 ** 40, b=-(10 ** 40) // 3)
+def test_sign_primitives_agree(D, a, b):
+    """Generation's sign (and QuadElem's, which delegates to it) and the
+    verifier's own equal sign(a|a| + b|b|D), the sign of a + b*sqrt(D) since
+    t -> t|t| is increasing."""
+    v = a * abs(a) + b * abs(b) * D
+    want = (v > 0) - (v < 0)
+    assert _sign_pair(a, b, D) == want
+    assert QuadElem(D, a, b).sign() == want
+    assert _vsign(a, b, D) == want

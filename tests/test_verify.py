@@ -1,7 +1,9 @@
+import ast
 import copy
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,29 @@ from quadcert import verify
 from quadcert.latbox import box_enumerate, omega_basis
 from quadcert.qd import QD
 from quadcert.verify import MalformedCertificate, Verdict, verify_certificate
+
+
+def test_verifier_imports_only_the_squarefree_classifier():
+    """The verifier is an independent implementation: from the package it
+    imports qarith's squarefree classifier, its exception and its bound cap,
+    and nothing else, statically or dynamically."""
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    internal = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level > 0 or module.split(".")[0] == "quadcert":
+                name = module if node.level > 0 else module.partition(".")[2]
+                internal += [(name, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "quadcert" for a in node.names)
+        elif isinstance(node, ast.Call):
+            f = node.func
+            assert not (isinstance(f, ast.Name) and f.id == "__import__")
+            assert not (isinstance(f, ast.Attribute) and f.attr == "import_module")
+    assert sorted(internal) == [("qarith", "MAX_TRIAL_BOUND"),
+                                ("qarith", "SquarefreeUndetermined"),
+                                ("qarith", "squarefree_status")]
 
 
 def test_accepts_m1(cert_m1):
