@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -27,7 +28,13 @@ from .certify import (
 )
 from .contfrac import bound_checks_stream, expand_sqrt
 from .friesen import SymSequence, construct_sequence, parity_condition, search_k
-from .qarith import SquarefreeUndetermined, format_elem, parse_elem
+from .qarith import (
+    DEFAULT_TRIAL_BOUND,
+    MAX_TRIAL_BOUND,
+    SquarefreeUndetermined,
+    format_elem,
+    parse_elem,
+)
 from .smallnorm import audit_lemma, classify_elements, enumerate_small_norm, power_trace
 from .verify import MalformedCertificate, verify_file
 
@@ -52,15 +59,18 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
-def _parse_sf_mode(text: str):
-    if text == "exact":
-        return "exact", 10 ** 7
-    if text.startswith("probable"):
-        bound = 10 ** 7
-        if ":" in text:
-            bound = int(text.split(":", 1)[1])
-        return "probable", bound
-    raise argparse.ArgumentTypeError(f"bad squarefree mode {text!r}")
+class _SquarefreeMode(argparse.Action):
+    """--squarefree exact | probable | probable:B, stored as (mode, bound);
+    B must lie in [2, MAX_TRIAL_BOUND], the range a certificate may state."""
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        m = re.fullmatch(r"exact|probable(?::([0-9]+))?", text)
+        if m is None:
+            parser.error(f"bad squarefree mode {text!r}: use exact, probable or probable:B")
+        bound = int(m[1]) if m[1] else DEFAULT_TRIAL_BOUND
+        if not 2 <= bound <= MAX_TRIAL_BOUND:
+            parser.error(f"squarefree bound must be an integer in [2, {MAX_TRIAL_BOUND}]")
+        setattr(namespace, self.dest, (text.partition(":")[0], bound))
 
 
 def _parse_krange(text: str):
@@ -143,7 +153,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    mode, bound = args.squarefree if args.squarefree else (None, 10 ** 7)
+    mode, bound = args.squarefree if args.squarefree else (None, DEFAULT_TRIAL_BOUND)
     indices = [int(t) for t in args.indices.split(",")] if args.indices else None
     cert = build_certificate(
         args.M, base=args.base, k_search=args.k_search,
@@ -290,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("friesen-search", help="k-search for fields with the given period")
     p.add_argument("seq")
     p.add_argument("--k", type=_parse_krange, required=True, metavar="a..b")
-    p.add_argument("--squarefree", type=_parse_sf_mode, default=("exact", 10 ** 7),
-                   metavar="exact|probable:B")
+    p.add_argument("--squarefree", action=_SquarefreeMode,
+                   default=("exact", DEFAULT_TRIAL_BOUND), metavar="exact|probable:B")
     p.set_defaults(fn=cmd_friesen_search)
 
     p = sub.add_parser("construct", help="symmetric sequence for rank exclusion")
@@ -303,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-M", type=int, required=True)
     p.add_argument("--base", choices=("minimal", "threes"), default="minimal")
     p.add_argument("--k-search", type=int, default=64, dest="k_search")
-    p.add_argument("--squarefree", type=_parse_sf_mode, default=None,
+    p.add_argument("--squarefree", action=_SquarefreeMode, default=None,
                    metavar="exact|probable:B")
     p.add_argument("--force-D", type=int, default=None, dest="force_D",
                    help="skip construction; certify this field (negative controls)")

@@ -22,7 +22,12 @@ from math import ceil, gcd
 from typing import List, Optional, Tuple
 
 from .contfrac import PeriodCapExceeded, expand_sqrt
-from .qarith import SquarefreeStatus, SquarefreeUndetermined, squarefree_status
+from .qarith import (
+    MAX_TRIAL_BOUND,
+    SquarefreeStatus,
+    SquarefreeUndetermined,
+    squarefree_status,
+)
 
 
 class ConstructionError(Exception):
@@ -167,10 +172,13 @@ def search_k(
     when the exact classification exceeds the factoring budget — hits are
     reported, never suppressed) and the round-trip flag.  The search walks
     the admissibility progression; derive_D stays the per-k authority.
+    An sf_bound outside [2, MAX_TRIAL_BOUND] raises ValueError.
     """
     lo, hi = k_range
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
+    if type(sf_bound) is not int or not 2 <= sf_bound <= MAX_TRIAL_BOUND:
+        raise ValueError(f"squarefree bound must be an integer in [2, {MAX_TRIAL_BOUND}]")
     if not parity_condition(seq):
         warnings.warn(
             f"sequence ({seq}) fails the parity criterion: squarefree hits "

@@ -9,6 +9,12 @@ floating point in any decision path.
 Also here: `isqrt` (re-exported from `math`), squarefree testing (exact
 proof or trial division to a bound, capped at MAX_TRIAL_BOUND), and a
 deterministic Miller-Rabin for the range where it is a proof.
+
+Above 2**62 the trial scan folds products of primes mod n.  The first call
+sieves the primes; the products of the full segments up to
+DEFAULT_TRIAL_BOUND stay in `_SEGMENT_BLOCKS` (about 1.7 MB), so later calls
+in the process, for any n, only fold them and sieve again just the segments
+where a gcd finds a prime factor.  The table depends on the primes alone.
 """
 
 from __future__ import annotations
@@ -302,7 +308,11 @@ def _brent_rho(n: int, seed: int, max_iters: int) -> Optional[int]:
 
 
 def _perfect_power_root(n: int) -> Optional[int]:
-    """Smallest m with m**e == n for some e >= 2, or None."""
+    """m with m**e == n for the smallest e >= 2 that has one, or None.
+
+    Not the smallest root: 64 gives 8 (e = 2), not 2; callers need only some
+    root.
+    """
     for e in range(2, n.bit_length() + 1):
         lo, hi = 2, 1 << (n.bit_length() // e + 1)
         while lo <= hi:
@@ -380,11 +390,19 @@ MAX_TRIAL_BOUND = 10 ** 9
 DEFAULT_RHO_BUDGET = 40_000_000
 
 
-# odd numbers per sieve segment: the scan's working set stays O(segment +
-# sqrt(limit)) instead of holding every prime up to the trial bound
+# odd numbers per sieve segment: a cold scan holds one segment and the
+# sieve's base table, never every prime up to the trial bound
 _SIEVE_SEGMENT = 1 << 15
-# primes multiplied together before each fold into the running product mod n
-_PRIME_CHUNK = 32
+# int64 pair products of primes (each prime < 2**31 since bounds stay within
+# MAX_TRIAL_BOUND) multiplied together into one block product
+_PAIR_BLOCK = 64
+
+# The block products of every full sieve segment lying wholly at or below
+# DEFAULT_TRIAL_BOUND, keyed by the segment's first odd number.  Bignum scans
+# fill it lazily and later scans fold it mod n instead of re-sieving.  It
+# depends only on the primes, never on n, so generator and verifier share
+# it; full, it holds 152 segments in about 1.7 MB whatever bound is scanned.
+_SEGMENT_BLOCKS: dict = {}
 
 
 def _odd_primes_upto(r: int) -> list:
@@ -398,27 +416,31 @@ def _odd_primes_upto(r: int) -> list:
     return np.flatnonzero(flags).tolist()
 
 
-def _odd_prime_segments(limit: int):
-    """Yield the odd primes in [3, limit] in increasing order, one list per
-    segment of _SIEVE_SEGMENT consecutive odd numbers."""
-    base = _odd_primes_upto(isqrt(limit))
-    lo = 3
-    while lo <= limit:
-        size = min(_SIEVE_SEGMENT, (limit - lo) // 2 + 1)
-        hi = lo + 2 * size  # flags[i] stands for the odd number lo + 2*i < hi
-        flags = np.ones(size, dtype=bool)
-        for p in base:
-            if p * p >= hi:
-                break
-            # first odd multiple of p that is >= max(lo, p*p)
-            s = p * max(p, -(-lo // p) | 1)
-            flags[(s - lo) // 2::p] = False
-        yield (np.flatnonzero(flags) * 2 + lo).tolist()
-        lo = hi
+def _sieve_segment(lo: int, size: int, base: list) -> np.ndarray:
+    """The odd primes among the `size` odd numbers from odd lo, in order;
+    base holds the odd primes up to the square root of the last of them."""
+    hi = lo + 2 * size  # flags[i] stands for the odd number lo + 2*i < hi
+    flags = np.ones(size, dtype=bool)
+    for p in base:
+        if p * p >= hi:
+            break
+        # first odd multiple of p that is >= max(lo, p*p)
+        s = p * max(p, -(-lo // p) | 1)
+        flags[(s - lo) // 2::p] = False
+    return np.flatnonzero(flags) * 2 + lo
+
+
+def _block_products(primes: np.ndarray) -> tuple:
+    """Products of consecutive runs of 2*_PAIR_BLOCK primes, in order."""
+    if len(primes) % 2:
+        primes = np.append(primes, 1)
+    pairs = (primes[0::2] * primes[1::2]).tolist()
+    return tuple(prod(pairs[i:i + _PAIR_BLOCK]) for i in range(0, len(pairs), _PAIR_BLOCK))
 
 
 def _trial_square_scan(n: int, bound: int):
-    """(status, p, cofactor) as in the kernels, any bit length.
+    """(status, p, cofactor) as in the kernels, any bit length; bound must
+    not exceed MAX_TRIAL_BOUND.
 
     status 0: p is the smallest prime <= bound with p*p | n.  status 1: no
     such prime; the cofactor is 1, a prime, or n with each of its prime
@@ -427,7 +449,7 @@ def _trial_square_scan(n: int, bound: int):
     if n < _kernels.INT64_SAFE and bound < _kernels.INT64_SAFE:
         st, p, cof = _kernels.trial_square_scan_i64(n, bound)
         return int(st), int(p), int(cof)
-    # bignum path (Bernstein's batching): fold each chunk's product of primes
+    # bignum path (Bernstein's batching): fold each segment's block products
     # into a running product mod n; one gcd per segment then yields the
     # product of that segment's primes dividing n, usually 1
     if bound < 2:
@@ -436,17 +458,33 @@ def _trial_square_scan(n: int, bound: int):
         n //= 2
         if n % 2 == 0:
             return 0, 2, n
-    for primes in _odd_prime_segments(min(bound, isqrt(n))):
+    limit = min(bound, isqrt(n))
+    base = _odd_primes_upto(isqrt(limit))  # under a millisecond
+    lo = 3
+    while lo <= limit:
+        size = min(_SIEVE_SEGMENT, (limit - lo) // 2 + 1)
+        hi = lo + 2 * size
+        primes = None
+        blocks = _SEGMENT_BLOCKS.get(lo) if size == _SIEVE_SEGMENT else None
+        if blocks is None:
+            primes = _sieve_segment(lo, size, base)
+            blocks = _block_products(primes)
+            if size == _SIEVE_SEGMENT and hi <= DEFAULT_TRIAL_BOUND:
+                _SEGMENT_BLOCKS[lo] = blocks
         acc = 1
-        for i in range(0, len(primes), _PRIME_CHUNK):
-            acc = acc * prod(primes[i:i + _PRIME_CHUNK]) % n
+        for c in blocks:
+            # reducing a block longer than n first keeps the product small
+            acc = acc * (c % n) % n
         g = gcd(acc, n)
         if g > 1:
-            for p in primes:
+            if primes is None:  # a stored segment: sieve it again to walk it
+                primes = _sieve_segment(lo, size, base)
+            for p in primes.tolist():
                 if g % p == 0:
                     n //= p
                     if n % p == 0:
                         return 0, p, n
+        lo = hi
     return 1, 0, n
 
 
@@ -503,11 +541,15 @@ def squarefree_status(
 
     mode='probable': trial division by primes <= bound only; a square factor
     found there is still an exact 'not-squarefree' answer.
+
+    A bound above MAX_TRIAL_BOUND raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode not in ("exact", "probable"):
         raise ValueError(f"unknown mode {mode!r}")
+    if bound > MAX_TRIAL_BOUND:
+        raise ValueError(f"trial bound {bound} exceeds {MAX_TRIAL_BOUND}")
     if n == 1:
         return SquarefreeStatus("squarefree-proved", mode=mode)
     if mode == "probable":

@@ -8,7 +8,9 @@ the generation side: dyadic integer intervals around sqrt(D) (integer
 endpoints over one power of two, no gcd) drive the reduction and the
 Fincke-Pohst bounds, and only the final membership/succeq filters use exact
 integer sign tests.  Shared with generation is nothing beyond the squarefree
-classifier and its trial-bound cap; `latbox` and `qd` are not imported.
+classifier, its trial-bound cap and, in one process, the classifier's table
+of prime block products, which depends only on the primes and never on D
+(D is always rescanned here); `latbox` and `qd` are not imported.
 
 Checks run cheapest-first so that tampered certificates are rejected before
 the expensive squarefree recomputation.

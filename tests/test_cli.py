@@ -141,6 +141,28 @@ def test_friesen_search_probable_mode(capsys):
     assert verdicts["8"] == "not-squarefree"  # probable mode still proves squares
 
 
+@pytest.mark.parametrize("mode", [
+    "probablejunk", "probable:", "probable:-5", "probable:1", "probable:1000000001",
+    "probable:1000000000000", "probable:1e3", "exact:5", "Exact",
+])
+def test_friesen_search_rejects_bad_squarefree_mode(capsys, mode):
+    code = main(["friesen-search", "1", "--k", "1..3", "--squarefree", mode])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "error: " in captured.err
+
+
+@pytest.mark.parametrize("mode,want", [
+    ("exact", ("exact", 10 ** 7)), ("probable", ("probable", 10 ** 7)),
+    ("probable:2", ("probable", 2)), ("probable:1000000000", ("probable", 10 ** 9)),
+])
+def test_squarefree_mode_accepted_forms(mode, want):
+    from quadcert.cli import build_parser
+
+    args = build_parser().parse_args(["friesen-search", "1", "--k", "1..3", "--squarefree", mode])
+    assert args.squarefree == want
+
+
 def test_search_warns_on_parity_failure(capsys):
     code, out = run_cli(capsys, "--json", "friesen-search", "1,1", "--k", "1..50")
     assert code == 0

@@ -147,3 +147,12 @@ def test_derive_roundtrip_key_invariant():
         e = expand_sqrt(D)
         assert e.k == k and e.period == (2, 8, 2, 2 * k)
     assert hits >= 3
+
+
+@pytest.mark.parametrize("bound", [-5, 0, 1, 10 ** 9 + 1, 10 ** 12, True, 10.0 ** 7])
+def test_search_refuses_bound_outside_certificate_range(bound):
+    # checked before any work, even where the range holds no field to test
+    with pytest.raises(ValueError):
+        search_k(SymSequence((1,)), (1, 3), sf_mode="probable", sf_bound=bound)
+    with pytest.raises(ValueError):
+        search_k(SymSequence((1, 1)), (1, 3), sf_mode="probable", sf_bound=bound)

@@ -1,15 +1,26 @@
+import functools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quadcert
 from quadcert.qarith import (
-    _PRIME_CHUNK,
+    _PAIR_BLOCK,
+    _SEGMENT_BLOCKS,
     _SIEVE_SEGMENT,
+    DEFAULT_TRIAL_BOUND,
+    MAX_TRIAL_BOUND,
     QuadElem,
     SquarefreeUndetermined,
+    _perfect_power_root,
     _trial_square_scan,
     format_elem,
     is_prime_proved,
@@ -155,11 +166,20 @@ def _next_prime(x: int) -> int:
 
 _SEGMENT_EDGE = 3 + 2 * _SIEVE_SEGMENT  # first odd number of the second segment
 _ODD_PRIMES = [p for p in range(3, 2000, 2) if is_prime_proved(p)]
-# primes on both sides of the sieve's first segment edge and first chunk edge
+_BLOCK_PRIMES = 2 * _PAIR_BLOCK  # primes per stored block product
+# primes on both sides of the sieve's first segment edge and first block edge
 _EDGE_PRIMES = [
     _prev_prime(_SEGMENT_EDGE - 1), _next_prime(_SEGMENT_EDGE),
-    _ODD_PRIMES[_PRIME_CHUNK - 1], _ODD_PRIMES[_PRIME_CHUNK],
+    _ODD_PRIMES[_BLOCK_PRIMES - 1], _ODD_PRIMES[_BLOCK_PRIMES],
 ]
+
+
+@functools.cache
+def _full_table() -> dict:
+    """The segment table as a scan to DEFAULT_TRIAL_BOUND leaves it."""
+    _SEGMENT_BLOCKS.clear()
+    _trial_square_scan(3 * _P62, DEFAULT_TRIAL_BOUND)
+    return dict(_SEGMENT_BLOCKS)
 
 
 @given(
@@ -182,15 +202,75 @@ def test_bignum_scan_matches_reference_loop(cofactor, bound, plant, edge, hits):
     n = cofactor * p * p
     for q in hits:  # prime factors the scan must divide out once and step past
         n *= q
-    st_new, w_new, cof_new = _trial_square_scan(n, bound)
     st_ref, w_ref, cof_ref = _reference_trial_scan(n, bound)
-    assert (st_new, w_new) == (st_ref, w_ref)
-    if st_new == 1 and cof_new != cof_ref:
-        # only where the loop stopped early on d*d > n: what it left is a prime
-        # that the scan went on to divide out
-        assert cof_new == 1 and is_prime_proved(cof_ref)
-    if plant != "none" and 2 <= p <= bound:
-        assert st_new == 0 and w_new <= p
+    _SEGMENT_BLOCKS.clear()
+    cold = _trial_square_scan(n, bound)  # sieves every segment
+    # stored segments reach past the bound, into a segment it cuts short
+    _SEGMENT_BLOCKS.update(_full_table())
+    warm = _trial_square_scan(n, bound)
+    for st_new, w_new, cof_new in (cold, warm):
+        assert (st_new, w_new) == (st_ref, w_ref)
+        if st_new == 1 and cof_new != cof_ref:
+            # only where the loop stopped early on d*d > n: what it left is a
+            # prime that the scan went on to divide out
+            assert cof_new == 1 and is_prime_proved(cof_ref)
+        if plant != "none" and 2 <= p <= bound:
+            assert st_new == 0 and w_new <= p
+    assert warm == cold
+
+
+def _plain_primes(lo: int, hi: int) -> list:
+    """Primes in [lo, hi) by trial-division base primes and a byte sieve."""
+    small = [q for q in range(2, isqrt(hi) + 1) if all(q % d for d in range(2, isqrt(q) + 1))]
+    flags = bytearray([1]) * (hi - lo)
+    for q in small:
+        start = max(q * q, -(-lo // q) * q)
+        flags[start - lo::q] = bytes(len(range(start, hi, q)))
+    return [lo + i for i, f in enumerate(flags) if f and lo + i > 1]
+
+
+def test_segment_table_holds_full_segments_below_default_bound():
+    """A scan cut inside a segment stores only the full segments before it;
+    an unaligned scan past the default bound stores exactly the full
+    segments with hi <= DEFAULT_TRIAL_BOUND, and each stored block is the
+    product of its run of primes, as an independent sieve finds them."""
+    stride = 2 * _SIEVE_SEGMENT
+    full = [lo for lo in range(3, DEFAULT_TRIAL_BOUND, stride) if lo + stride <= DEFAULT_TRIAL_BOUND]
+    assert len(full) == 152
+    mid = full[len(full) // 2]
+    n = 3 * _P62  # no prime square up to the bounds; each scan runs to the end
+    _SEGMENT_BLOCKS.clear()
+    assert _trial_square_scan(n, mid + 2000) == (1, 0, _P62)  # stops inside mid
+    assert sorted(_SEGMENT_BLOCKS) == full[:len(full) // 2]
+    assert _trial_square_scan(n, DEFAULT_TRIAL_BOUND + 3 * 2 ** 16) == (1, 0, _P62)
+    assert sorted(_SEGMENT_BLOCKS) == full
+    for lo in (full[0], mid, full[-1]):
+        primes = [q for q in _plain_primes(lo, lo + stride) if q > 2]
+        runs = tuple(prod(primes[i:i + _BLOCK_PRIMES]) for i in range(0, len(primes), _BLOCK_PRIMES))
+        assert _SEGMENT_BLOCKS[lo] == runs, lo
+
+
+def test_fresh_import_leaves_segment_table_empty():
+    src = str(Path(quadcert.__file__).resolve().parent.parent)
+    code = "import quadcert; from quadcert import qarith; print(len(qarith._SEGMENT_BLOCKS))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "0"
+
+
+def test_bound_above_cap_is_refused():
+    with pytest.raises(ValueError):
+        squarefree_status(3 * _P62, mode="probable", bound=MAX_TRIAL_BOUND + 1)
+    with pytest.raises(ValueError):
+        squarefree_status(12, mode="exact", bound=MAX_TRIAL_BOUND + 1)
+
+
+def test_perfect_power_root_takes_the_smallest_exponent():
+    # some root is all its callers need: 64 = 8**2 gives 8, not 2
+    assert _perfect_power_root(64) == 8
+    assert _perfect_power_root(2 ** 15) == 2 ** 5  # 15 = 3 * 5: cube root first
+    assert _perfect_power_root(7 ** 5) == 7
+    assert _perfect_power_root(10 ** 30 + 57) is None
 
 
 elem_strategy = st.tuples(
