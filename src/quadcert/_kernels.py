@@ -1,9 +1,12 @@
 """Hot int64 kernels, written with numpy.
 
-Only machine-word work lives here: surd period computation, trial-division
-scans and the small-norm window/naive scans, all guarded to int64 range by
-the callers.  Certificate arithmetic is arbitrary precision and never
-enters this module.
+Only machine-word work lives here: trial-division scans and the small-norm
+window/naive scans, all guarded to int64 range by the callers.  Certificate
+arithmetic is arbitrary precision and never enters this module.
+
+`surd_period_i64` and `BACKEND` have no production caller: `contfrac`
+expands every period with its plain Python loop, which is faster.  They
+stay only while the pipeline benchmark (`perfbench/`) binds them.
 """
 
 from __future__ import annotations

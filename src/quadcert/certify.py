@@ -24,12 +24,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .contfrac import SurdExpansion, convergents, expand_sqrt
 from .friesen import SymSequence, admissible_k, construct_sequence, derive_D
-from .latbox import box_enumerate, coords_to_elem, omega_basis, sqrt_embedding_bounds
+from .latbox import box_enumerate, coords_to_elem, sqrt_embedding_bounds
 from .qarith import (
-    MAX_TRIAL_BOUND,
+    DEFAULT_TRIAL_BOUND,
     QuadElem,
     SquarefreeStatus,
     SquarefreeUndetermined,
+    check_trial_bound,
     format_elem,
     isqrt,
     parse_elem,
@@ -122,7 +123,8 @@ def pair_refute(D: int, a: QuadElem, b: QuadElem, audit_doubling: bool = True,
 
     Returns every nonzero c with 4ab ⪰ c^2 (the equality branch counts).
     The doubling audit repeats the enumeration with both windows doubled and
-    records that nothing new appeared.
+    records whether anything new appeared; build_certificate refuses a pair
+    where it did.
     """
     if a.D != D or b.D != D:
         raise ValueError("witness field mismatch")
@@ -205,8 +207,7 @@ def build_certificate(
     base: str = "minimal",
     k_search: int = 64,
     sf_mode: Optional[str] = None,
-    sf_bound: int = 10 ** 7,
-    rho_budget: int = 40_000_000,
+    sf_bound: int = DEFAULT_TRIAL_BOUND,
     force_D: Optional[int] = None,
     indices: Optional[Sequence[int]] = None,
     threads: int = 1,
@@ -217,20 +218,20 @@ def build_certificate(
     run to hundreds of digits).  force_D skips the construction and builds
     the certificate for the given field; combined with explicit indices this
     produces the negative controls.  Pair checks are independent and may run
-    on a thread pool; assembly stays deterministic.
+    on a thread pool; assembly stays deterministic.  A pair whose doubling
+    audit is not clean raises CertificateError: its enumeration missed a
+    violator.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    if type(sf_bound) is not int or not 2 <= sf_bound <= MAX_TRIAL_BOUND:
-        # the verifier calls a certificate stating such a bound malformed
-        raise ValueError(f"squarefree bound must be an integer in [2, {MAX_TRIAL_BOUND}]")
+    check_trial_bound(sf_bound)
     if sf_mode is None:
         sf_mode = "exact" if M == 1 else "probable"
     if force_D is not None:
         e = expand_sqrt(force_D)
         seq = SymSequence(e.period[:-1])
         k, D = e.k, force_D
-        sf = squarefree_status(D, mode=sf_mode, bound=sf_bound, rho_budget=rho_budget)
+        sf = squarefree_status(D, mode=sf_mode, bound=sf_bound)
     else:
         seq = construct_sequence(M, base)
         prog = admissible_k(seq)
@@ -245,8 +246,7 @@ def build_certificate(
             if Dc is None:
                 continue
             try:
-                sfc = squarefree_status(Dc, mode=sf_mode, bound=sf_bound,
-                                        rho_budget=rho_budget)
+                sfc = squarefree_status(Dc, mode=sf_mode, bound=sf_bound)
             except SquarefreeUndetermined:
                 continue
             if sfc.verdict == "not-squarefree":
@@ -271,6 +271,12 @@ def build_certificate(
     else:
         pairs = [pair_refute(D, a, b, i=ii, j=jj) for (ii, a), (jj, b) in jobs]
     pairs.sort(key=lambda p: (p.i, p.j))
+    for p in pairs:
+        if not p.doubling_clean:
+            raise CertificateError(
+                f"doubling audit of pair ({p.i}, {p.j}) over D = {D} finds "
+                "violators the enumeration missed"
+            )
     refuted = any(p.violators for p in pairs)
     if refuted:
         soundness = "refuted"

@@ -1,18 +1,17 @@
 """Command-line front end.
 
 Subcommands: cf, friesen-check, friesen-search, construct, certify, verify,
-smallnorm, power-trace, represent, tp-list.  Every subcommand takes --json;
-JSON output echoes the effective configuration, is canonically sorted, and
-is independent of --threads, which only certify uses.  Exit codes: 0
-success/accepted, 1 rejected (verify) or refuted (certify), 2 usage,
-malformed input or an error (printed as an `error:` line on stderr).
+smallnorm, power-trace, represent, tp-list.  --json, the only global
+option, gives canonically sorted JSON that echoes the subcommand under
+"config".  Exit codes: 0 success/accepted, 1 rejected (verify) or refuted
+(certify), 2 usage, malformed input or an error (printed as an `error:` line
+on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import warnings
@@ -22,7 +21,6 @@ from .certify import (
     CertificateError,
     build_certificate,
     decide_represent,
-    pair_refute,
     parse_form,
     totally_positive_up_to,
 )
@@ -30,8 +28,8 @@ from .contfrac import bound_checks_stream, expand_sqrt
 from .friesen import SymSequence, construct_sequence, parity_condition, search_k
 from .qarith import (
     DEFAULT_TRIAL_BOUND,
-    MAX_TRIAL_BOUND,
     SquarefreeUndetermined,
+    check_trial_bound,
     format_elem,
     parse_elem,
 )
@@ -39,20 +37,9 @@ from .smallnorm import audit_lemma, classify_elements, enumerate_small_norm, pow
 from .verify import MalformedCertificate, verify_file
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QUADCERT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _emit(args, payload: dict, text_lines) -> None:
     if args.json:
-        payload["config"] = {
-            "command": args.command,
-            "threads": args.threads,
-            "factor_budget": args.factor_budget,
-        }
+        payload["config"] = {"command": args.command}
         print(json.dumps(payload, indent=1, sort_keys=True))
     else:
         for line in text_lines:
@@ -61,15 +48,18 @@ def _emit(args, payload: dict, text_lines) -> None:
 
 class _SquarefreeMode(argparse.Action):
     """--squarefree exact | probable | probable:B, stored as (mode, bound);
-    B must lie in [2, MAX_TRIAL_BOUND], the range a certificate may state."""
+    B must pass check_trial_bound, the range a certificate may state."""
 
     def __call__(self, parser, namespace, text, option_string=None):
         m = re.fullmatch(r"exact|probable(?::([0-9]+))?", text)
         if m is None:
             parser.error(f"bad squarefree mode {text!r}: use exact, probable or probable:B")
-        bound = int(m[1]) if m[1] else DEFAULT_TRIAL_BOUND
-        if not 2 <= bound <= MAX_TRIAL_BOUND:
-            parser.error(f"squarefree bound must be an integer in [2, {MAX_TRIAL_BOUND}]")
+        try:
+            # int() refuses more than 4300 digits with ValueError too
+            bound = int(m[1]) if m[1] else DEFAULT_TRIAL_BOUND
+            check_trial_bound(bound)
+        except ValueError as exc:
+            parser.error(str(exc))
         setattr(namespace, self.dest, (text.partition(":")[0], bound))
 
 
@@ -119,8 +109,7 @@ def cmd_friesen_search(args) -> int:
     lo, hi = args.k
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the warn line above already says it
-        hits = search_k(seq, (lo, hi), sf_mode=mode, sf_bound=bound,
-                        rho_budget=args.factor_budget)
+        hits = search_k(seq, (lo, hi), sf_mode=mode, sf_bound=bound)
     payload = {
         "sequence": [str(u) for u in seq.values],
         "k_range": [lo, hi],
@@ -157,8 +146,7 @@ def cmd_certify(args) -> int:
     indices = [int(t) for t in args.indices.split(",")] if args.indices else None
     cert = build_certificate(
         args.M, base=args.base, k_search=args.k_search,
-        sf_mode=mode, sf_bound=bound, rho_budget=args.factor_budget,
-        force_D=args.force_D, indices=indices, threads=args.threads,
+        sf_mode=mode, sf_bound=bound, force_D=args.force_D, indices=indices,
     )
     text = cert.dumps()
     if args.output:
@@ -281,11 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "certificates over real quadratic fields",
     )
     ap.add_argument("--json", action="store_true", help="machine-readable output")
-    ap.add_argument("--threads", type=int, default=_default_threads(),
-                    help="worker threads for certify's pair checks "
-                         "(default from QUADCERT_THREADS)")
-    ap.add_argument("--factor-budget", type=int, default=40_000_000,
-                    dest="factor_budget", help="rho iteration budget")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cf", help="continued fraction of sqrt(D)")

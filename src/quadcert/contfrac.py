@@ -7,7 +7,9 @@ The expansion uses the classical surd recurrence
 
 starting from (m, d, a) = (0, 1, k) with k = floor(sqrt(D)); the minimal
 period of sqrt(D) ends exactly at the first index with d = 1, where the
-partial quotient is 2k.
+partial quotient is 2k.  The recurrence runs on Python integers for every
+D: no int64 kernel, which over the nonsquare D < 20000 was 2.5x slower than
+this loop.
 
 Convergents follow p_{i+1} = u_{i+1} p_i + p_{i-1} (and likewise q) with
 p_0 = k, q_0 = 1 and u read cyclically: u_j = 2k when s | j, else the
@@ -21,9 +23,6 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Iterator, List, Optional
 
-import numpy as np
-
-from . import _kernels
 from .qarith import QuadElem, is_square, isqrt
 from .qd import _sign_pair
 
@@ -83,12 +82,6 @@ def expand_sqrt(D: int, max_steps: Optional[int] = None) -> SurdExpansion:
     if is_square(D):
         raise ValueError(f"D = {D} is a perfect square")
     k = isqrt(D)
-    if max_steps is None and D <= 10 ** 10:
-        buf = np.empty(max(64, 12 * isqrt(D) + 64), dtype=np.int64)
-        n = _kernels.surd_period_i64(D, k, buf)
-        if n > 0:
-            return SurdExpansion(D, k, tuple(int(v) for v in buf[:n]))
-        # buffer overrun: fall through to the unbounded python path
     m, d, a = 0, 1, k
     period: List[int] = []
     while True:

@@ -23,9 +23,10 @@ from typing import List, Optional, Tuple
 
 from .contfrac import PeriodCapExceeded, expand_sqrt
 from .qarith import (
-    MAX_TRIAL_BOUND,
+    DEFAULT_TRIAL_BOUND,
     SquarefreeStatus,
     SquarefreeUndetermined,
+    check_trial_bound,
     squarefree_status,
 )
 
@@ -163,22 +164,20 @@ def search_k(
     seq: SymSequence,
     k_range: Tuple[int, int],
     sf_mode: str = "exact",
-    sf_bound: int = 10 ** 7,
-    rho_budget: int = 40_000_000,
+    sf_bound: int = DEFAULT_TRIAL_BOUND,
 ) -> List[FieldHit]:
     """All k in [k_range[0], k_range[1]] with a derive_D success.
 
     Each hit is annotated with its squarefree status (verdict 'undetermined'
-    when the exact classification exceeds the factoring budget — hits are
+    when the exact classification exceeds the rho budget — hits are
     reported, never suppressed) and the round-trip flag.  The search walks
     the admissibility progression; derive_D stays the per-k authority.
-    An sf_bound outside [2, MAX_TRIAL_BOUND] raises ValueError.
+    An sf_bound that check_trial_bound refuses raises ValueError.
     """
     lo, hi = k_range
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
-    if type(sf_bound) is not int or not 2 <= sf_bound <= MAX_TRIAL_BOUND:
-        raise ValueError(f"squarefree bound must be an integer in [2, {MAX_TRIAL_BOUND}]")
+    check_trial_bound(sf_bound)
     if not parity_condition(seq):
         warnings.warn(
             f"sequence ({seq}) fails the parity criterion: squarefree hits "
@@ -196,7 +195,7 @@ def search_k(
         if D is None:
             continue
         try:
-            sf = squarefree_status(D, mode=sf_mode, bound=sf_bound, rho_budget=rho_budget)
+            sf = squarefree_status(D, mode=sf_mode, bound=sf_bound)
         except SquarefreeUndetermined:
             sf = SquarefreeStatus("undetermined", bound=sf_bound, mode=sf_mode)
         hits.append(FieldHit(k=k, D=D, squarefree=sf, roundtrip_verified=True))

@@ -31,7 +31,8 @@ from .qd import _sign_pair
 
 
 class SquarefreeUndetermined(Exception):
-    """Exact squarefree classification exceeded the factoring budget."""
+    """Exact squarefree classification found no proof: a probable prime beyond
+    the deterministic Miller-Rabin range, or no factor within RHO_BUDGET."""
 
 
 def is_square(n: int) -> bool:
@@ -241,6 +242,9 @@ def parse_elem(text: str, D: Optional[int] = None) -> QuadElem:
 # deterministic Miller-Rabin witness bound (Sorenson & Webster)
 _MR_PROVEN_BOUND = 3317044064679887385961981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Iterations each Pollard-Brent rho attempt may spend.  A certificate does
+# not record it and the verifier re-classifies D with it, so it is fixed.
+RHO_BUDGET = 40_000_000
 
 
 def _miller_rabin(n: int, bases=_MR_WITNESSES) -> bool:
@@ -275,8 +279,9 @@ def is_prime_proved(n: int) -> Optional[bool]:
     return None
 
 
-def _brent_rho(n: int, seed: int, max_iters: int) -> Optional[int]:
-    """Brent's cycle variant of Pollard rho; returns a nontrivial factor or None."""
+def _brent_rho(n: int, seed: int) -> Optional[int]:
+    """Brent's cycle variant of Pollard rho within RHO_BUDGET iterations;
+    returns a nontrivial factor or None."""
     if n % 2 == 0:
         return 2
     y = seed % n or 1
@@ -285,7 +290,7 @@ def _brent_rho(n: int, seed: int, max_iters: int) -> Optional[int]:
     g = r = q = 1
     iters = 0
     x = ys = y
-    while g == 1 and iters < max_iters:
+    while g == 1 and iters < RHO_BUDGET:
         x = y
         for _ in range(r):
             y = (y * y + c) % n
@@ -327,7 +332,7 @@ def _perfect_power_root(n: int) -> Optional[int]:
     return None
 
 
-def _smallest_prime_factor(n: int, rho_budget: int) -> int:
+def _smallest_prime_factor(n: int) -> int:
     """Some prime factor of n > 1 (not necessarily smallest for rho splits)."""
     if n % 2 == 0:
         return 2
@@ -344,9 +349,9 @@ def _smallest_prime_factor(n: int, rho_budget: int) -> int:
             f"{n} is a probable prime beyond the deterministic range"
         )
     for seed in range(1, 8):
-        f = _brent_rho(n, seed * 7919, rho_budget)
+        f = _brent_rho(n, seed * 7919)
         if f:
-            return _smallest_prime_factor(f, rho_budget)
+            return _smallest_prime_factor(f)
     raise SquarefreeUndetermined(f"cannot extract a prime factor of {n}")
 
 
@@ -387,7 +392,13 @@ DEFAULT_TRIAL_BOUND = 10 ** 7
 # its sieve's base table grow with the bound.  The generator refuses a larger
 # one and the verifier calls it malformed.
 MAX_TRIAL_BOUND = 10 ** 9
-DEFAULT_RHO_BUDGET = 40_000_000
+
+
+def check_trial_bound(bound) -> None:
+    """ValueError unless bound is an int, not a bool, in [2, MAX_TRIAL_BOUND]:
+    the verifier calls a certificate stating any other bound malformed."""
+    if type(bound) is not int or not 2 <= bound <= MAX_TRIAL_BOUND:
+        raise ValueError(f"squarefree bound must be an integer in [2, {MAX_TRIAL_BOUND}]")
 
 
 # odd numbers per sieve segment: a cold scan holds one segment and the
@@ -488,7 +499,7 @@ def _trial_square_scan(n: int, bound: int):
     return 1, 0, n
 
 
-def _classify_cofactor(c: int, trial_bound: int, rho_budget: int) -> Optional[int]:
+def _classify_cofactor(c: int, trial_bound: int) -> Optional[int]:
     """Return a prime p with p*p | c, or None when c is proved squarefree.
 
     c has no prime factor <= trial_bound.  Raises SquarefreeUndetermined when
@@ -498,7 +509,7 @@ def _classify_cofactor(c: int, trial_bound: int, rho_budget: int) -> Optional[in
         return None
     r = _perfect_power_root(c)
     if r is not None:
-        return _smallest_prime_factor(r, rho_budget)
+        return _smallest_prime_factor(r)
     p = is_prime_proved(c)
     if p is True:
         return None
@@ -513,26 +524,22 @@ def _classify_cofactor(c: int, trial_bound: int, rho_budget: int) -> Optional[in
         return None
     # split and recurse on both halves
     for seed in range(1, 6):
-        f = _brent_rho(c, seed * 104729, rho_budget)
+        f = _brent_rho(c, seed * 104729)
         if f is None:
             continue
         g = c // f
         d = gcd(f, g)
         if d > 1:
-            return _smallest_prime_factor(d, rho_budget)
-        wa = _classify_cofactor(f, trial_bound, rho_budget)
+            return _smallest_prime_factor(d)
+        wa = _classify_cofactor(f, trial_bound)
         if wa is not None:
             return wa
-        return _classify_cofactor(g, trial_bound, rho_budget)
+        return _classify_cofactor(g, trial_bound)
     raise SquarefreeUndetermined(f"cannot factor cofactor {c} within budget")
 
 
-def squarefree_status(
-    n: int,
-    mode: str = "exact",
-    bound: int = DEFAULT_TRIAL_BOUND,
-    rho_budget: int = DEFAULT_RHO_BUDGET,
-) -> SquarefreeStatus:
+def squarefree_status(n: int, mode: str = "exact",
+                      bound: int = DEFAULT_TRIAL_BOUND) -> SquarefreeStatus:
     """Squarefree classification of n >= 1.
 
     mode='exact': full proof (trial division, then cofactor classification by
@@ -542,14 +549,13 @@ def squarefree_status(
     mode='probable': trial division by primes <= bound only; a square factor
     found there is still an exact 'not-squarefree' answer.
 
-    A bound above MAX_TRIAL_BOUND raises ValueError.
+    A bound that check_trial_bound refuses raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode not in ("exact", "probable"):
         raise ValueError(f"unknown mode {mode!r}")
-    if bound > MAX_TRIAL_BOUND:
-        raise ValueError(f"trial bound {bound} exceeds {MAX_TRIAL_BOUND}")
+    check_trial_bound(bound)
     if n == 1:
         return SquarefreeStatus("squarefree-proved", mode=mode)
     if mode == "probable":
@@ -560,7 +566,7 @@ def squarefree_status(
     st, p, cof = _trial_square_scan(n, bound)
     if st == 0:
         return SquarefreeStatus("not-squarefree", witness=p, bound=bound, mode=mode)
-    w = _classify_cofactor(cof, bound, rho_budget)
+    w = _classify_cofactor(cof, bound)
     if w is not None:
         return SquarefreeStatus("not-squarefree", witness=w, bound=bound, mode=mode)
     return SquarefreeStatus("squarefree-proved", bound=bound, mode=mode)

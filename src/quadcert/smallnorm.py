@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from . import _kernels
 from .contfrac import SurdExpansion, alpha as _alpha, convergent_iter, expand_sqrt
-from .qarith import QuadElem, SquarefreeUndetermined, is_square, isqrt, squarefree_status
+from .qarith import QuadElem, _smallest_prime_factor, is_square, isqrt, squarefree_status
 
 BOUND_HALF = Fraction(1, 2)
 BOUND_EIGHTH = Fraction(1, 8)
@@ -219,13 +219,11 @@ def audit_lemma(D: int, y_max: int) -> AuditReport:
 # ramified primes
 # ---------------------------------------------------------------------------
 
-def _factor(n: int, rho_budget: int = 40_000_000) -> List[int]:
+def _factor(n: int) -> List[int]:
     """Prime factors of n (squarefree n expected), ascending."""
-    from .qarith import _smallest_prime_factor  # shares the budgeted machinery
-
     out = []
     while n > 1:
-        p = _smallest_prime_factor(n, rho_budget)
+        p = _smallest_prime_factor(n)
         out.append(p)
         while n % p == 0:
             n //= p

@@ -308,6 +308,23 @@ def test_totally_positive_up_to_examples():
         assert x.is_totally_positive() and x.trace() <= 6
 
 
+def test_unclean_doubling_audit_refuses_the_certificate(monkeypatch):
+    from quadcert import certify
+    from quadcert.latbox import sqrt_embedding_bounds
+
+    real = certify._box_violators
+
+    def extra_when_doubled(D, beta, S1, S2):
+        tested, violators = real(D, beta, S1, S2)
+        if (S1, S2) == tuple(2 * s for s in sqrt_embedding_bounds(beta)):
+            violators += (QuadElem(D, 1, 0),)
+        return tested, violators
+
+    monkeypatch.setattr(certify, "_box_violators", extra_when_doubled)
+    with pytest.raises(CertificateError, match=r"doubling audit of pair \(1, 3\)"):
+        build_certificate(1)
+
+
 def test_build_certificate_thread_count_invariance():
     a = build_certificate(2, base="minimal", threads=1)
     b = build_certificate(2, base="minimal", threads=3)

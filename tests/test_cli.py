@@ -111,6 +111,22 @@ def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--threads", "2", "cf", "13"],
+    ["--factor-budget", "5", "cf", "13"],
+    ["cf", "13", "--threads", "2"],
+])
+def test_retired_global_options_are_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_json_echoes_only_the_command(capsys):
+    code, out = run_cli(capsys, "--json", "construct", "-M", "1")
+    assert code == 0
+    assert json.loads(out)["config"] == {"command": "construct"}
+
+
 @pytest.mark.parametrize("bound", ["1", "1000000001"])
 def test_certify_bound_outside_verifier_range_exit_code(capsys, bound):
     code = main(["certify", "-M", "1", "--squarefree", f"probable:{bound}"])
@@ -144,6 +160,7 @@ def test_friesen_search_probable_mode(capsys):
 @pytest.mark.parametrize("mode", [
     "probablejunk", "probable:", "probable:-5", "probable:1", "probable:1000000001",
     "probable:1000000000000", "probable:1e3", "exact:5", "Exact",
+    pytest.param("probable:" + "9" * 5000, id="probable:5000-digits"),
 ])
 def test_friesen_search_rejects_bad_squarefree_mode(capsys, mode):
     code = main(["friesen-search", "1", "--k", "1..3", "--squarefree", mode])

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 from quadcert.contfrac import (
@@ -15,6 +17,7 @@ from quadcert.contfrac import (
 from quadcert.qarith import QuadElem
 
 from .conftest import squarefree_sieve
+from .test_kernels import _reference_period
 
 
 def test_expand_examples():
@@ -143,9 +146,13 @@ def test_bound_stream_matches_pointwise():
         check_norm_bounds(expand_sqrt(13), -1)
 
 
-def test_expand_falls_back_when_kernel_buffer_overruns(monkeypatch):
-    from quadcert import contfrac as cf
+def test_expand_needs_no_kernel(monkeypatch):
+    from quadcert import _kernels
 
-    monkeypatch.setattr(cf._kernels, "surd_period_i64", lambda D, k, out: -1)
-    e = cf.expand_sqrt(94)
-    assert e.period == (1, 2, 3, 1, 1, 5, 1, 8, 1, 5, 1, 1, 3, 2, 1, 18)
+    def refuse(*args):
+        raise AssertionError("expand_sqrt called the int64 kernel")
+
+    monkeypatch.setattr(_kernels, "surd_period_i64", refuse)
+    for D in range(2, 20000):
+        if isqrt(D) ** 2 != D:
+            assert list(expand_sqrt(D).period) == _reference_period(D), D

@@ -115,7 +115,7 @@ def test_squarefree_undetermined_is_explicit():
     # probable-prime cofactor beyond the deterministic Miller-Rabin range
     p = 2 ** 89 - 1  # Mersenne prime, 27 digits
     with pytest.raises(SquarefreeUndetermined):
-        squarefree_status(p, mode="exact", bound=10 ** 4, rho_budget=10 ** 3)
+        squarefree_status(p, mode="exact", bound=10 ** 4)
 
 
 def test_squarefree_agrees_with_sieve():
@@ -263,6 +263,13 @@ def test_bound_above_cap_is_refused():
         squarefree_status(3 * _P62, mode="probable", bound=MAX_TRIAL_BOUND + 1)
     with pytest.raises(ValueError):
         squarefree_status(12, mode="exact", bound=MAX_TRIAL_BOUND + 1)
+
+
+@pytest.mark.parametrize("bound", [0, 1, -5, True, "7"])
+@pytest.mark.parametrize("mode", ["probable", "exact"])
+def test_bound_the_verifier_calls_malformed_is_refused(mode, bound):
+    with pytest.raises(ValueError, match="squarefree bound"):
+        squarefree_status(10 ** 30 + 57, mode=mode, bound=bound)
 
 
 def test_perfect_power_root_takes_the_smallest_exponent():
