@@ -65,13 +65,16 @@ def select_witnesses(
 ) -> WitnessSet:
     """M+1 totally positive convergent elements, default alpha_1, ..., alpha_{2M+1}.
 
-    Indices must be odd and <= r unless force is set (forcing is how the
-    negative controls are built; enumeration, not index placement, carries
-    soundness).
+    Explicit indices must number M+1, the witness count the verifier
+    expects.  Indices must be odd and <= r unless force is set (forcing is
+    how the negative controls are built; enumeration, not index placement,
+    carries soundness).
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     idx = tuple(indices) if indices is not None else tuple(range(1, 2 * M + 2, 2))
+    if len(idx) != M + 1:
+        raise ValueError(f"M = {M} needs {M + 1} witness indices, got {len(idx)}")
     if len(idx) != len(set(idx)) or any(i < 1 or i % 2 == 0 for i in idx):
         raise ValueError(f"witness indices must be distinct odd positives: {idx}")
     if tuple(sorted(idx)) != idx:
@@ -232,6 +235,8 @@ def build_certificate(
         seq = SymSequence(e.period[:-1])
         k, D = e.k, force_D
         sf = squarefree_status(D, mode=sf_mode, bound=sf_bound)
+        if sf.verdict == "not-squarefree":
+            raise CertificateError(f"D = {D} is not squarefree")
     else:
         seq = construct_sequence(M, base)
         prog = admissible_k(seq)
@@ -375,20 +380,18 @@ def _udu(B: List[List[QD]]) -> Optional[Tuple[List[List[QD]], List[QD]]]:
     return U, d
 
 
-def _qd_inverse(M: List[List[QD]]) -> List[List[QD]]:
-    n = len(M)
-    aug = [row[:] + [QD(row[0].D, 1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if not aug[r][col].is_zero())
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = aug[col][col].inverse()
-        aug[col] = [v * inv_p for v in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _inverse_diagonal(U: List[List[QD]], d: List[QD]) -> List[QD]:
+    """Diagonal of B^-1 for B = U diag(d) U^T: with W = U^-1 (unit upper
+    triangular, one back substitution per column), (B^-1)_tt =
+    sum_{k<=t} W[k][t]^2 / d_k."""
+    zero = QD(d[0].D, 0)
+    diag = []
+    for t in range(len(d)):
+        w = {t: zero + 1}
+        for k in range(t - 1, -1, -1):
+            w[k] = -sum((U[k][j] * w[j] for j in range(k + 1, t + 1)), zero)
+        diag.append(sum((w[k] * w[k] / d[k] for k in range(t + 1)), zero))
+    return diag
 
 
 @dataclass(frozen=True)
@@ -443,14 +446,14 @@ def totally_positive_up_to(D: int, trace_bound: int) -> List[QuadElem]:
 def decide_represent(form: QuadraticForm, target: QuadElem) -> RepresentResult:
     """Exhaustive decision of Q(v) = target over O_K^n.
 
-    Coordinate boxes come from the exact inverse Gram per embedding:
-    sigma_h(x_t)^2 <= sigma_h(target) * (B^(h)^-1)_tt, outer-rounded.  One
-    exact factorisation B = U diag(d) U^T (Fincke-Pohst order, eliminating
-    from the last coordinate) does the rest: its pivots decide total positive
-    definiteness; the depth-first search adds one term d_t (x_t + l_t)^2 per
-    node to the partial sum P and prunes when target - P is not totally
-    nonnegative; the last coordinate is solved as x = +-sqrt(4 d (target -
-    P))/(2 d) - l rather than enumerated.
+    One exact factorisation B = U diag(d) U^T (Fincke-Pohst order,
+    eliminating from the last coordinate) does all the work.  Its pivots
+    decide total positive definiteness.  The coordinate boxes come from the
+    diagonal of B^-1 read off it, per embedding: sigma_h(x_t)^2 <=
+    sigma_h(target) * (B^(h)^-1)_tt, outer-rounded.  The depth-first search
+    adds one term d_t (x_t + l_t)^2 per node to the partial sum P and prunes
+    when target - P is not totally nonnegative; the last coordinate is
+    solved as x = +-sqrt(4 d (target - P))/(2 d) - l rather than enumerated.
     """
     D = form.D
     if target.D != D:
@@ -459,18 +462,18 @@ def decide_represent(form: QuadraticForm, target: QuadElem) -> RepresentResult:
     factor = _udu(B)
     if factor is None:
         raise ValueError("form is not totally positive definite")
-    if not (target.is_totally_positive() or (target.a > 0 and target.b == 0)):
+    if not target.is_totally_positive():
         raise ValueError("target must be totally positive")
     U, d = factor
     n = form.n
     tgt = _elem_to_qd(target)
-    Binv = _qd_inverse(B)
+    binv = _inverse_diagonal(U, d)
     # per-coordinate boxes
     from .qd import frac_sqrt_outer
 
     def coordinate_box(t: int) -> Tuple[Fraction, Fraction]:
-        th1 = (tgt * Binv[t][t]).upper_frac(24)
-        th2 = (tgt.conj() * Binv[t][t].conj()).upper_frac(24)
+        th1 = (tgt * binv[t]).upper_frac(24)
+        th2 = (tgt.conj() * binv[t].conj()).upper_frac(24)
         return (frac_sqrt_outer(max(th1, Fraction(0)), 24),
                 frac_sqrt_outer(max(th2, Fraction(0)), 24))
 

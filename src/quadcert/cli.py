@@ -15,7 +15,6 @@ import json
 import re
 import sys
 import warnings
-from fractions import Fraction
 
 from .certify import (
     CertificateError,
@@ -183,8 +182,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_smallnorm(args) -> int:
-    bound = {"half": Fraction(1, 2), "eighth": Fraction(1, 8)}[args.bound]
-    elems = classify_elements(args.D, enumerate_small_norm(args.D, bound, args.y_max))
+    elems = classify_elements(args.D, enumerate_small_norm(args.D, args.bound, args.y_max))
     audit = audit_lemma(args.D, args.y_max)
     payload = {
         "D": str(args.D), "bound": args.bound, "y_max": args.y_max,

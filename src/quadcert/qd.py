@@ -2,7 +2,7 @@
 
 `QD` represents (a + b*sqrt(D))/q with integer a, b and q > 0, normalized so
 that gcd(a, b, q) = 1.  It serves the representability decider (Gram matrix,
-UDU^T factorisation, inverse, coordinate boxes, `sqrt_in_field`) and the
+UDU^T factorisation, coordinate boxes, `sqrt_in_field`) and the
 tests' y-scan oracle; the public ring-of-integers type with den in {1, 2}
 lives in `qarith`.
 

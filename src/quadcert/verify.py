@@ -186,21 +186,21 @@ def _vbox_attempt(D, S1, S2, prec):
         out = _iv_add(out, _iv_scale(G12, p[0] * q[1] + p[1] * q[0]))
         return _iv_add(out, _iv_scale(G22, p[1] * q[1]))
 
-    def mid2(x):  # twice the midpoint
-        return x[0] + x[1]
-
+    # a, b, c: twice the midpoints of gram_iv(u, u), (u, v), (v, v), updated
+    # in place; exact, since an interval's endpoint sum is bilinear in (p, q)
     u, v = (1, 0), (0, 1)
+    a, b, c = sum(G11), sum(G12), sum(G22)
     for _ in range(512):
-        if mid2(gram_iv(v, v)) < mid2(gram_iv(u, u)):
-            u, v = v, u
-        den = mid2(gram_iv(u, u))
-        if den <= 0:
+        if c < a:
+            u, v, a, c = v, u, c, a
+        if a <= 0:
             break  # degenerate midpoint; rigorous bounds below stay valid
-        mu = (2 * mid2(gram_iv(u, v)) + den) // (2 * den)  # round(mid ratio)
+        mu = (2 * b + a) // (2 * a)  # round(b / a)
         if mu == 0:
             break
         v = (v[0] - mu * u[0], v[1] - mu * u[1])
-    if mid2(gram_iv(v, v)) < mid2(gram_iv(u, u)):
+        c, b = c - 2 * mu * b + mu * mu * a, b - mu * a
+    if c < a:
         u, v = v, u
     A = gram_iv(u, u)
     B0 = gram_iv(u, v)

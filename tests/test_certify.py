@@ -12,8 +12,9 @@ from quadcert.certify import (
     QuadraticForm,
     RepresentResult,
     _elem_to_qd,
-    _qd_inverse,
+    _inverse_diagonal,
     _qd_to_elem,
+    _udu,
     build_certificate,
     decide_represent,
     pair_refute,
@@ -62,6 +63,8 @@ def test_select_witnesses_validation():
         select_witnesses(e, 1, indices=(3, 1), force=True)  # not ascending
     with pytest.raises(ValueError):
         select_witnesses(e, 1, indices=(1, 1), force=True)  # duplicate
+    with pytest.raises(ValueError):
+        select_witnesses(e, 1, indices=(1, 3, 5), force=True)  # not M + 1 indices
     ws = select_witnesses(e, 1, indices=(1, 3), force=True)
     assert [w.is_totally_positive() for w in ws.witnesses] == [True, True]
 
@@ -361,6 +364,23 @@ def _qd_det(M: List[List[QD]]) -> QD:
     return -det if sign_flips else det
 
 
+def _qd_inverse(M: List[List[QD]]) -> List[List[QD]]:
+    """Inverse by Gauss-Jordan elimination with pivoting over Q(sqrt(D))."""
+    n = len(M)
+    aug = [row[:] + [QD(row[0].D, 1 if i == j else 0) for j in range(n)]
+           for i, row in enumerate(M)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if not aug[r][col].is_zero())
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv_p = aug[col][col].inverse()
+        aug[col] = [v * inv_p for v in aug[col]]
+        for r in range(n):
+            if r != col and not aug[r][col].is_zero():
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
 def _qd_matmul(A, B):
     n, m, p = len(A), len(B), len(B[0])
     return [[sum((A[i][k] * B[k][j] for k in range(m)), A[0][0] * 0) for j in range(p)]
@@ -502,3 +522,26 @@ def test_decider_matches_reference(case):
     got, want = decide_represent(form, target), _reference_decide(form, target)
     assert (got.status, got.vector, got.candidates_per_coordinate, got.nodes_visited) \
         == (want.status, want.vector, want.candidates_per_coordinate, want.nodes_visited)
+
+
+@st.composite
+def tpd_grams(draw):
+    """B = A A^T + I over Q(sqrt(D)): positive definite under both embeddings."""
+    D = draw(st.sampled_from((2, 3, 5, 13, 94)))
+    n = draw(st.integers(1, 5))
+    entry = st.builds(lambda a, b, q: QD(D, a, b, q), st.integers(-3, 3),
+                      st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    A = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    B = _qd_matmul(A, [list(r) for r in zip(*A)])
+    for t in range(n):
+        B[t][t] = B[t][t] + 1
+    return B
+
+
+@settings(max_examples=60, deadline=None)
+@given(B=tpd_grams())
+def test_inverse_diagonal_matches_reference_inverse(B):
+    factor = _udu(B)
+    assert factor is not None
+    Binv = _qd_inverse(B)
+    assert _inverse_diagonal(*factor) == [Binv[t][t] for t in range(len(B))]

@@ -138,7 +138,11 @@ def test_certify_bound_outside_verifier_range_exit_code(capsys, bound):
     ["certify", "-M", "1", "--k-search", "0"],
     # D = k^2 + 1 is a probable prime beyond the deterministic Miller-Rabin range
     ["certify", "-M", "1", "--force-D", "4000000000080000000000401", "--indices", "1,3"],
-], ids=["no-field", "squarefree-undetermined"])
+    # three witnesses for M = 1: the verifier expects M + 1
+    ["certify", "-M", "1", "--force-D", "94", "--indices", "5,7,15"],
+    # 24 = 2^2 * 6 is proved not squarefree
+    ["certify", "-M", "1", "--force-D", "24"],
+], ids=["no-field", "squarefree-undetermined", "witness-count", "forced-not-squarefree"])
 def test_certify_error_exit_code(capsys, argv):
     """Exit 1 means refuted; a certify run that cannot finish exits 2."""
     code = main(argv)

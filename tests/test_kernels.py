@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
@@ -6,7 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadcert import _kernels
-from quadcert.smallnorm import _naive_scan_py
+from quadcert.qarith import QuadElem
+from quadcert.smallnorm import (
+    _naive_scan_py,
+    _window_scan_py,
+    enumerate_small_norm,
+    naive_enumerate,
+)
 
 
 def test_active_backend_is_sane():
@@ -116,6 +123,19 @@ def test_naive_scan_py_matches_kernel(D, parity, y_max, data):
     got = _naive_scan_py(D, y_max, T, parity)
     assert got == _naive(D, y_max, T, parity)
     assert got == _reference_naive_scan(D, y_max, T, parity)
+    pad = data.draw(st.integers(0, 8))
+    assert _window_scan_py(D, y_max, T, pad, parity) \
+        == _triples(*_kernels.smallnorm_window_i64(D, y_max, T, pad, parity))
+
+
+def test_enumerate_small_norm_above_int64_guard():
+    m = (1 << 29) + 2
+    D = m * m + 1  # D ≡ 1 (mod 4); D*(y_max + 3)^2*4 > INT64_SAFE
+    y_max, bound = 2, Fraction(1, 1 << 20)  # |N| < 2^-20 sqrt(D), about 512
+    assert D * (y_max + 3) ** 2 * 4 >= _kernels.INT64_SAFE
+    got = enumerate_small_norm(D, bound, y_max)
+    assert (QuadElem(D, m, 1), -1) in [(e.mu, e.norm) for e in got]
+    assert got == naive_enumerate(D, bound, y_max)
 
 
 def test_naive_scan_near_int64_limit():
