@@ -130,7 +130,7 @@ def test_naive_scan_py_matches_kernel(D, parity, y_max, data):
 
 def test_enumerate_small_norm_above_int64_guard():
     m = (1 << 29) + 2
-    D = m * m + 1  # D ≡ 1 (mod 4); D*(y_max + 3)^2*4 > INT64_SAFE
+    D = m * m + 1  # ≡ 1 (mod 4), so both den = 1 and den = 2 run
     y_max, bound = 2, Fraction(1, 1 << 20)  # |N| < 2^-20 sqrt(D), about 512
     assert D * (y_max + 3) ** 2 * 4 >= _kernels.INT64_SAFE
     got = enumerate_small_norm(D, bound, y_max)
