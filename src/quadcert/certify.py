@@ -68,7 +68,8 @@ def select_witnesses(
     Explicit indices must number M+1, the witness count the verifier
     expects.  Indices must be odd and <= r unless force is set (forcing is
     how the negative controls are built; enumeration, not index placement,
-    carries soundness).
+    carries soundness).  Even forced, no index may pass the period length s,
+    the verifier's cap on the convergents it rebuilds.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -82,6 +83,10 @@ def select_witnesses(
     if not force and idx[-1] > e.r:
         raise CertificateError(
             f"period too short: index {idx[-1]} > r = {e.r} for D = {e.D}"
+        )
+    if idx[-1] > e.s:
+        raise CertificateError(
+            f"witness index {idx[-1]} exceeds the period length {e.s} for D = {e.D}"
         )
     cs = convergents(e, idx[-1] + 1)
     ws = tuple(QuadElem(e.D, cs[i].p, cs[i].q) for i in idx)

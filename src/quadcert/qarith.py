@@ -14,7 +14,8 @@ Above 2**62 the trial scan folds products of primes mod n.  The first call
 sieves the primes; the products of the full segments up to
 DEFAULT_TRIAL_BOUND stay in `_SEGMENT_BLOCKS` (about 1.7 MB), so later calls
 in the process, for any n, only fold them and sieve again just the segments
-where a gcd finds a prime factor.  The table depends on the primes alone.
+where a gcd finds a prime factor.  A segment's blocks become one product the
+first time a scan reuses it.  The table depends on the primes alone.
 """
 
 from __future__ import annotations
@@ -410,9 +411,12 @@ _PAIR_BLOCK = 64
 
 # The block products of every full sieve segment lying wholly at or below
 # DEFAULT_TRIAL_BOUND, keyed by the segment's first odd number.  Bignum scans
-# fill it lazily and later scans fold it mod n instead of re-sieving.  It
-# depends only on the primes, never on n, so generator and verifier share
-# it; full, it holds 152 segments in about 1.7 MB whatever bound is scanned.
+# fill it lazily and later scans fold it mod n instead of re-sieving.  The
+# first scan that reuses a segment replaces its blocks by a one-tuple, their
+# product (about 94,000 bits): one long division mod n per segment from then
+# on, while a one-shot process never pays for building it.  The table depends
+# only on the primes, never on n, so generator and verifier share it; full,
+# it holds 152 segments in about 1.7 MB whatever bound is scanned.
 _SEGMENT_BLOCKS: dict = {}
 
 
@@ -449,6 +453,14 @@ def _block_products(primes: np.ndarray) -> tuple:
     return tuple(prod(pairs[i:i + _PAIR_BLOCK]) for i in range(0, len(pairs), _PAIR_BLOCK))
 
 
+def _tree_product(xs) -> int:
+    """prod(xs) by a balanced product tree: operands of equal size at each
+    level, where a sequential product multiplies a growing one by a small one."""
+    while len(xs) > 1:
+        xs = [prod(xs[i:i + 2]) for i in range(0, len(xs), 2)]
+    return xs[0]
+
+
 def _trial_square_scan(n: int, bound: int):
     """(status, p, cofactor) as in the kernels, any bit length; bound must
     not exceed MAX_TRIAL_BOUND.
@@ -482,6 +494,10 @@ def _trial_square_scan(n: int, bound: int):
             blocks = _block_products(primes)
             if size == _SIEVE_SEGMENT and hi <= DEFAULT_TRIAL_BOUND:
                 _SEGMENT_BLOCKS[lo] = blocks
+        elif len(blocks) > 1:
+            # the segment is being reused: store and fold one product, one
+            # long division mod n where its blocks took three operations each
+            blocks = _SEGMENT_BLOCKS[lo] = (_tree_product(blocks),)
         acc = 1
         for c in blocks:
             # reducing a block longer than n first keeps the product small

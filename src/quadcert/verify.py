@@ -23,6 +23,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import List, Optional, Tuple
 
@@ -146,6 +147,13 @@ def _vbox_enumerate(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, int]]
         prec = min(2 * prec, cap)
 
 
+@lru_cache(maxsize=16)
+def _vsqrt_scaled(D: int, prec: int) -> int:
+    """isqrt(D * 4**prec): the same for every box of one field at one
+    precision, and at M = 4 the costliest step of a box attempt."""
+    return isqrt(D << (2 * prec))
+
+
 def _vbox_gram(D, S1, S2, prec):
     """(K, G11, G12, G22): integer intervals that enclose K times the Gram
     entries of F(c) = (sigma_1(c)/S1)^2 + (sigma_2(c)/S2)^2 on {1, omega}.
@@ -155,7 +163,7 @@ def _vbox_gram(D, S1, S2, prec):
     2**-prec, is inexact.
     """
     e = 1 << prec
-    r = isqrt(D * e * e)  # r <= e*sqrt(D) < r + 1
+    r = _vsqrt_scaled(D, prec)  # r <= e*sqrt(D) < r + 1
     if D % 4 == 1:
         E = 2 * e
         w = (e + r, e + r + 1)  # E * (1 + sqrt(D))/2

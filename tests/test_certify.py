@@ -65,6 +65,9 @@ def test_select_witnesses_validation():
         select_witnesses(e, 1, indices=(1, 1), force=True)  # duplicate
     with pytest.raises(ValueError):
         select_witnesses(e, 1, indices=(1, 3, 5), force=True)  # not M + 1 indices
+    with pytest.raises(CertificateError, match="period length 16"):
+        select_witnesses(expand_sqrt(94), 1, indices=(5, 31), force=True)  # past s = 16
+    assert select_witnesses(expand_sqrt(94), 1, indices=(5, 15), force=True).indices == (5, 15)
     ws = select_witnesses(e, 1, indices=(1, 3), force=True)
     assert [w.is_totally_positive() for w in ws.witnesses] == [True, True]
 

@@ -142,7 +142,10 @@ def test_certify_bound_outside_verifier_range_exit_code(capsys, bound):
     ["certify", "-M", "1", "--force-D", "94", "--indices", "5,7,15"],
     # 24 = 2^2 * 6 is proved not squarefree
     ["certify", "-M", "1", "--force-D", "24"],
-], ids=["no-field", "squarefree-undetermined", "witness-count", "forced-not-squarefree"])
+    # the period of sqrt(94) has length 16: the verifier would reject index 31
+    ["certify", "-M", "1", "--force-D", "94", "--indices", "5,31"],
+], ids=["no-field", "squarefree-undetermined", "witness-count", "forced-not-squarefree",
+        "index-past-period"])
 def test_certify_error_exit_code(capsys, argv):
     """Exit 1 means refuted; a certify run that cannot finish exits 2."""
     code = main(argv)

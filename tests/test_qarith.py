@@ -176,10 +176,26 @@ _EDGE_PRIMES = [
 
 @functools.cache
 def _full_table() -> dict:
-    """The segment table as a scan to DEFAULT_TRIAL_BOUND leaves it."""
+    """The segment table as a first scan to DEFAULT_TRIAL_BOUND leaves it:
+    every entry still a run of block products."""
     _SEGMENT_BLOCKS.clear()
     _trial_square_scan(3 * _P62, DEFAULT_TRIAL_BOUND)
     return dict(_SEGMENT_BLOCKS)
+
+
+@functools.cache
+def _promoted_table() -> dict:
+    """The segment table after a second full scan: one product per entry."""
+    _SEGMENT_BLOCKS.clear()
+    _SEGMENT_BLOCKS.update(_full_table())
+    _trial_square_scan(3 * _P62, DEFAULT_TRIAL_BOUND)
+    return dict(_SEGMENT_BLOCKS)
+
+
+# the table states a scan can meet: empty (it sieves every segment), blocks
+# (it promotes each segment it reuses) and promoted (it folds one product);
+# the stored ones reach past the bounds below, into a segment a scan cuts short
+_TABLE_STATES = {"empty": dict, "blocks": _full_table, "promoted": _promoted_table}
 
 
 @given(
@@ -203,12 +219,13 @@ def test_bignum_scan_matches_reference_loop(cofactor, bound, plant, edge, hits):
     for q in hits:  # prime factors the scan must divide out once and step past
         n *= q
     st_ref, w_ref, cof_ref = _reference_trial_scan(n, bound)
-    _SEGMENT_BLOCKS.clear()
-    cold = _trial_square_scan(n, bound)  # sieves every segment
-    # stored segments reach past the bound, into a segment it cuts short
-    _SEGMENT_BLOCKS.update(_full_table())
-    warm = _trial_square_scan(n, bound)
-    for st_new, w_new, cof_new in (cold, warm):
+    got = []
+    for state in _TABLE_STATES.values():
+        table = state()
+        _SEGMENT_BLOCKS.clear()
+        _SEGMENT_BLOCKS.update(table)
+        got.append(_trial_square_scan(n, bound))
+    for st_new, w_new, cof_new in got:
         assert (st_new, w_new) == (st_ref, w_ref)
         if st_new == 1 and cof_new != cof_ref:
             # only where the loop stopped early on d*d > n: what it left is a
@@ -216,7 +233,25 @@ def test_bignum_scan_matches_reference_loop(cofactor, bound, plant, edge, hits):
             assert cof_new == 1 and is_prime_proved(cof_ref)
         if plant != "none" and 2 <= p <= bound:
             assert st_new == 0 and w_new <= p
-    assert warm == cold
+    assert got[0] == got[1] == got[2]
+
+
+@pytest.mark.parametrize("state", list(_TABLE_STATES))
+def test_planted_square_in_a_promoted_segment(state):
+    """p*p planted mid-way through the third segment, with single prime
+    factors on both sides of it: every table state gives the reference
+    loop's witness and cofactor."""
+    p = _next_prime(3 + 4 * _SIEVE_SEGMENT + 5000)
+    lo = 3 + 4 * _SIEVE_SEGMENT  # the segment holding p
+    n = _P62 * p * p * 3 * _EDGE_PRIMES[1] * _prev_prime(p - 2) * _next_prime(p + 2)
+    bound = 3 + 8 * _SIEVE_SEGMENT
+    want = _reference_trial_scan(n, bound)
+    assert want == (0, p, n // (3 * _EDGE_PRIMES[1] * _prev_prime(p - 2) * p))
+    _SEGMENT_BLOCKS.clear()
+    _SEGMENT_BLOCKS.update(_TABLE_STATES[state]())
+    entries = min(len(_SEGMENT_BLOCKS.get(lo, ())), 2)  # none, one product, blocks
+    assert entries == {"empty": 0, "promoted": 1, "blocks": 2}[state]
+    assert _trial_square_scan(n, bound) == want
 
 
 def _plain_primes(lo: int, hi: int) -> list:
@@ -232,22 +267,37 @@ def _plain_primes(lo: int, hi: int) -> list:
 def test_segment_table_holds_full_segments_below_default_bound():
     """A scan cut inside a segment stores only the full segments before it;
     an unaligned scan past the default bound stores exactly the full
-    segments with hi <= DEFAULT_TRIAL_BOUND, and each stored block is the
-    product of its run of primes, as an independent sieve finds them."""
+    segments with hi <= DEFAULT_TRIAL_BOUND.  A segment stored for the first
+    time holds the products of its runs of primes; one the scan reuses holds
+    a single product from then on.  Either way the entry multiplies out to
+    the product of the segment's primes, as an independent sieve finds them."""
     stride = 2 * _SIEVE_SEGMENT
     full = [lo for lo in range(3, DEFAULT_TRIAL_BOUND, stride) if lo + stride <= DEFAULT_TRIAL_BOUND]
     assert len(full) == 152
-    mid = full[len(full) // 2]
+    half = len(full) // 2
+    mid = full[half]
     n = 3 * _P62  # no prime square up to the bounds; each scan runs to the end
     _SEGMENT_BLOCKS.clear()
     assert _trial_square_scan(n, mid + 2000) == (1, 0, _P62)  # stops inside mid
-    assert sorted(_SEGMENT_BLOCKS) == full[:len(full) // 2]
+    assert sorted(_SEGMENT_BLOCKS) == full[:half]
+    assert all(len(_SEGMENT_BLOCKS[lo]) > 1 for lo in full[:half])
     assert _trial_square_scan(n, DEFAULT_TRIAL_BOUND + 3 * 2 ** 16) == (1, 0, _P62)
     assert sorted(_SEGMENT_BLOCKS) == full
-    for lo in (full[0], mid, full[-1]):
-        primes = [q for q in _plain_primes(lo, lo + stride) if q > 2]
-        runs = tuple(prod(primes[i:i + _BLOCK_PRIMES]) for i in range(0, len(primes), _BLOCK_PRIMES))
+    assert all(len(_SEGMENT_BLOCKS[lo]) == 1 for lo in full[:half])  # reused
+    assert all(len(_SEGMENT_BLOCKS[lo]) > 1 for lo in full[half:])  # stored
+    primes = {lo: [q for q in _plain_primes(lo, lo + stride) if q > 2]
+              for lo in (full[0], full[half - 1], mid, full[-1])}
+    for lo in (mid, full[-1]):
+        runs = tuple(prod(primes[lo][i:i + _BLOCK_PRIMES])
+                     for i in range(0, len(primes[lo]), _BLOCK_PRIMES))
         assert _SEGMENT_BLOCKS[lo] == runs, lo
+    before = dict(_SEGMENT_BLOCKS)
+    assert _trial_square_scan(n, DEFAULT_TRIAL_BOUND) == (1, 0, _P62)
+    assert all(len(_SEGMENT_BLOCKS[lo]) == 1 for lo in full)
+    for lo in full:
+        assert prod(_SEGMENT_BLOCKS[lo]) == prod(before[lo]), lo
+    for lo, ps in primes.items():
+        assert prod(_SEGMENT_BLOCKS[lo]) == prod(ps), lo
 
 
 def test_fresh_import_leaves_segment_table_empty():
@@ -256,6 +306,20 @@ def test_fresh_import_leaves_segment_table_empty():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "0"
+
+
+def test_first_scan_in_a_fresh_process_stores_blocks():
+    """A one-shot process pays no promotion: its first bignum scan stores
+    runs of block products, and only a second scan folds them into one."""
+    src = str(Path(quadcert.__file__).resolve().parent.parent)
+    code = ("from quadcert import qarith\n"
+            "n = 3 * (2 ** 62 + 135)\n"
+            "for _ in range(2):\n"
+            "    qarith._trial_square_scan(n, 10 ** 6)\n"
+            "    print(sorted({len(v) > 1 for v in qarith._SEGMENT_BLOCKS.values()}))\n")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split("\n")[:2] == ["[True]", "[False]"]
 
 
 def test_bound_above_cap_is_refused():
