@@ -5,17 +5,13 @@ from .qarith import (
     QuadElem,
     SquarefreeStatus,
     SquarefreeUndetermined,
-    conjugate,
     format_elem,
     is_square,
     isqrt,
-    norm,
     parse_elem,
-    sign,
     squarefree_status,
     succ,
     succeq,
-    totally_positive,
 )
 from .contfrac import (
     Convergent,

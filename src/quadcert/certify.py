@@ -225,13 +225,17 @@ def build_certificate(
     sf_mode defaults to 'exact' for M = 1 and 'probable' for M >= 2 (those D
     run to hundreds of digits).  force_D skips the construction and builds
     the certificate for the given field; combined with explicit indices this
-    produces the negative controls.  Pair checks are independent and may run
-    on a thread pool; assembly stays deterministic.  A pair whose doubling
-    audit is not clean raises CertificateError: its enumeration missed a
-    violator.
+    produces the negative controls.  A pair whose doubling audit is not
+    clean raises CertificateError: its enumeration missed a violator.
+
+    Pairs are checked serially, in (i, j) order.  threads accepts only 1: the
+    pair work is pure-Python bignum arithmetic that holds the GIL, so a
+    thread pool never paid for itself.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
+    if threads != 1:
+        raise ValueError("threads must be 1: pair checks run serially")
     check_trial_bound(sf_bound)
     if sf_mode is None:
         sf_mode = "exact" if M == 1 else "probable"
@@ -269,18 +273,8 @@ def build_certificate(
             )
         e = expand_sqrt(D, max_steps=seq.s + 1)
     wset = select_witnesses(e, M, indices=indices, force=force_D is not None)
-    jobs = list(combinations(zip(wset.indices, wset.witnesses), 2))
-    if threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            pairs = list(ex.map(
-                lambda j: pair_refute(D, j[0][1], j[1][1], i=j[0][0], j=j[1][0]),
-                jobs,
-            ))
-    else:
-        pairs = [pair_refute(D, a, b, i=ii, j=jj) for (ii, a), (jj, b) in jobs]
-    pairs.sort(key=lambda p: (p.i, p.j))
+    pairs = [pair_refute(D, a, b, i=ii, j=jj)
+             for (ii, a), (jj, b) in combinations(zip(wset.indices, wset.witnesses), 2)]
     for p in pairs:
         if not p.doubling_clean:
             raise CertificateError(
@@ -546,6 +540,8 @@ _TERM_RE = re.compile(
 
 
 def _split_terms(text: str) -> List[Tuple[int, str]]:
+    """(sign, term) pairs split at top-level signs; a sign with no term after
+    it raises ValueError, so a truncated form never parses as another."""
     terms = []
     depth = 0
     cur = []
@@ -565,6 +561,8 @@ def _split_terms(text: str) -> List[Tuple[int, str]]:
             cur.append(ch)
     if "".join(cur).strip():
         terms.append((sign, "".join(cur).strip()))
+    elif text.strip():  # only whitespace after the last top-level sign
+        raise ValueError(f"form ends in a sign with no term after it: {text!r}")
     return terms
 
 

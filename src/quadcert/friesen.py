@@ -232,16 +232,9 @@ def construct_sequence(M: int, base: str = "minimal") -> SymSequence:
     # produce violators: alpha_{r-1} lands inside the (1, r) box)
     r_min = 2 * M + 2
     if base == "threes":
-        # the power-of-three family additionally keeps s ≡ 2 (mod 3)
-        s = None
-        for r in range(r_min, r_min + 12):
-            for cand in (2 * r, 2 * r + 1):  # central once / twice
-                if cand % 3 == 2:
-                    s = cand
-                    break
-            if s is not None:
-                break
-        assert s is not None
+        # the power-of-three family additionally keeps s ≡ 2 (mod 3): the
+        # least such s >= 2*r_min (central entry once or twice)
+        s = 2 * r_min + (2 - 2 * r_min) % 3
     else:
         s = 2 * r_min  # central element once
     r = ceil((s - 1) / 2)

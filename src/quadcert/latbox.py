@@ -194,7 +194,11 @@ def box_enumerate(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, int]]:
     return box_enumerate_gauss(D, S1, S2)
 
 
-def sqrt_embedding_bounds(beta: QuadElem, extra_bits: int = 24) -> Tuple[Fraction, Fraction]:
+# binary digits past the point in the sqrt_embedding_bounds windows
+_EMBED_BITS = 24
+
+
+def sqrt_embedding_bounds(beta: QuadElem) -> Tuple[Fraction, Fraction]:
     """Outer rational bounds (S1, S2) on sqrt(sigma_h(beta)) for totally
     positive beta.
 
@@ -207,13 +211,13 @@ def sqrt_embedding_bounds(beta: QuadElem, extra_bits: int = 24) -> Tuple[Fractio
     if not beta.is_totally_positive():
         raise ValueError("beta must be totally positive")
     D, a, b, den = beta.D, beta.a, beta.b, beta.den
-    e2 = 2 * extra_bits
-    S1 = Fraction(isqrt(_floor_pair(a << e2, b << e2, den, D)) + 1, 1 << extra_bits)
-    bits = extra_bits
+    e2 = 2 * _EMBED_BITS
+    S1 = Fraction(isqrt(_floor_pair(a << e2, b << e2, den, D)) + 1, 1 << _EMBED_BITS)
+    bits = _EMBED_BITS
     lo1 = _floor_pair(a << bits, b << bits, den, D)
     while lo1 <= 0:  # sigma_1 smaller than the resolution: sharpen
         bits *= 2
         lo1 = _floor_pair(a << bits, b << bits, den, D)
     s2_outer = Fraction(beta.norm() << bits, lo1)  # >= sigma_2
-    S2 = frac_sqrt_outer(s2_outer, extra_bits)
+    S2 = frac_sqrt_outer(s2_outer, _EMBED_BITS)
     return S1, S2

@@ -156,23 +156,6 @@ class QuadElem:
         return format_elem(self)
 
 
-# module-level operation names mirroring the public surface
-def norm(x: QuadElem) -> int:
-    return x.norm()
-
-
-def conjugate(x: QuadElem) -> QuadElem:
-    return x.conjugate()
-
-
-def sign(x: QuadElem) -> int:
-    return x.sign()
-
-
-def totally_positive(x: QuadElem) -> bool:
-    return x.is_totally_positive()
-
-
 def succ(x: QuadElem, y) -> bool:
     """x ≻ y: strictly greater under both real embeddings."""
     d = x - (y if isinstance(y, QuadElem) else QuadElem(x.D, y, 0))
@@ -248,7 +231,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 RHO_BUDGET = 40_000_000
 
 
-def _miller_rabin(n: int, bases=_MR_WITNESSES) -> bool:
+def _miller_rabin(n: int) -> bool:
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -258,7 +241,7 @@ def _miller_rabin(n: int, bases=_MR_WITNESSES) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in bases:
+    for a in _MR_WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -574,14 +557,11 @@ def squarefree_status(n: int, mode: str = "exact",
     check_trial_bound(bound)
     if n == 1:
         return SquarefreeStatus("squarefree-proved", mode=mode)
-    if mode == "probable":
-        st, p, _ = _trial_square_scan(n, bound)
-        if st == 0:
-            return SquarefreeStatus("not-squarefree", witness=p, bound=bound, mode=mode)
-        return SquarefreeStatus("probably-squarefree", bound=bound, mode=mode)
     st, p, cof = _trial_square_scan(n, bound)
     if st == 0:
         return SquarefreeStatus("not-squarefree", witness=p, bound=bound, mode=mode)
+    if mode == "probable":
+        return SquarefreeStatus("probably-squarefree", bound=bound, mode=mode)
     w = _classify_cofactor(cof, bound)
     if w is not None:
         return SquarefreeStatus("not-squarefree", witness=w, bound=bound, mode=mode)

@@ -128,12 +128,6 @@ class QD:
     def conj(self) -> "QD":
         return self._like(self.a, -self.b, self.q)
 
-    def norm(self) -> Fraction:
-        return Fraction(self.a * self.a - self.b * self.b * self.D, self.q * self.q)
-
-    def trace(self) -> Fraction:
-        return Fraction(2 * self.a, self.q)
-
     # -- order -------------------------------------------------------------
 
     def sign(self) -> int:

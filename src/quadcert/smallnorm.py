@@ -75,8 +75,6 @@ def enumerate_small_norm(D: int, bound, y_max: int) -> List[SmallNormElement]:
         else:
             triples = _window_scan_py(D, y_max, T, pad, parity)
         for x, y, n in triples:
-            if den == 2 and x % 2 == 0:
-                continue
             assert n == x * x - D * y * y
             out.append(SmallNormElement(QuadElem(D, x, y, den), n // dd2))
     out.sort(key=lambda e: (e.mu.b / Fraction(e.mu.den), e.mu.a))
@@ -203,14 +201,17 @@ def audit_lemma(D: int, y_max: int) -> AuditReport:
     Part a: den=1 elements below sqrt(D)/2, integer multipliers.  Part b
     (D ≡ 1 mod 4 only): everything below sqrt(D)/8 with half-integer
     multipliers allowed.  Canonical representatives make conjugate matches
-    implicit (the canonical form of n*alpha_i' is n*alpha_i).
+    implicit (the canonical form of n*alpha_i' is n*alpha_i).  One scan at
+    the half bound serves both parts: its window contains the eighth-bound
+    one, and |N| < sqrt(D)/8 is exactly 64*N^2 < D.
     """
     e = expand_sqrt(D)
-    part_a_raw = [el for el in enumerate_small_norm(D, BOUND_HALF, y_max) if el.mu.den == 1]
+    elems = enumerate_small_norm(D, BOUND_HALF, y_max)
+    part_a_raw = [el for el in elems if el.mu.den == 1]
     part_a = _match_against_alphas(e, part_a_raw, half_multipliers=False)
     part_b = []
     if D % 4 == 1:
-        part_b_raw = enumerate_small_norm(D, BOUND_EIGHTH, y_max)
+        part_b_raw = [el for el in elems if 64 * el.norm * el.norm < D]
         part_b = _match_against_alphas(e, part_b_raw, half_multipliers=True)
     return AuditReport(D=D, y_max=y_max, part_a=tuple(part_a), part_b=tuple(part_b))
 

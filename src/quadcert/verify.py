@@ -263,11 +263,9 @@ def _v_in_box(D, half, x, y, S1: Fraction, S2: Fraction) -> bool:
 # verifier-side expansion and convergents
 # ---------------------------------------------------------------------------
 
-def _v_expand(D: int, cap: int):
-    """(k, period) of sqrt(D), aborting with None once len > cap."""
-    k = isqrt(D)
-    if k * k == D or D < 2:
-        return None
+def _v_expand(D: int, k: int, cap: int):
+    """The period of sqrt(D) for nonsquare D with k = isqrt(D), aborting with
+    None once its length passes cap."""
     m, d, a = 0, 1, k
     period = []
     while True:
@@ -276,7 +274,7 @@ def _v_expand(D: int, cap: int):
         a = (k + m) // d
         period.append(a)
         if d == 1:
-            return k, period
+            return period
         if len(period) > cap:
             return None
 
@@ -370,11 +368,8 @@ def verify_certificate(obj) -> Verdict:
         return Verdict(False, f"k = {k} is not floor(sqrt(D))")
 
     # round trip with a step cap: a tampered D fails in O(len(seq)) steps
-    expanded = _v_expand(D, cap=len(seq) + 1)
-    if expanded is None:
-        return Verdict(False, "expansion of sqrt(D) does not match the stated period")
-    _, period = expanded
-    if period != seq + [2 * k]:
+    period = _v_expand(D, k, cap=len(seq) + 1)
+    if period is None or period != seq + [2 * k]:
         return Verdict(False, "expansion of sqrt(D) does not match the stated period")
 
     # conclusion consistency (cross-field, no recompute needed)

@@ -181,6 +181,13 @@ def test_parse_form_coefficients():
         parse_form("x1", 5)  # not quadratic
     with pytest.raises(ValueError):
         parse_form("", 5)
+    # a trailing sign used to be dropped, so a truncated form parsed as another
+    for text in ("x1^2 + x2^2 +", "x1^2 -"):
+        with pytest.raises(ValueError):
+            parse_form(text, 5)
+    # leading and repeated unary signs still parse
+    assert parse_form("- x1^2", 5).coeff(1, 1) == QuadElem(5, -1, 0)
+    assert parse_form("x1^2 - -x2^2", 5).coeff(2, 2) == QuadElem(5, 1, 0)
 
 
 def test_parse_form_rejects_variable_zero():
@@ -331,10 +338,11 @@ def test_unclean_doubling_audit_refuses_the_certificate(monkeypatch):
         build_certificate(1)
 
 
-def test_build_certificate_thread_count_invariance():
-    a = build_certificate(2, base="minimal", threads=1)
-    b = build_certificate(2, base="minimal", threads=3)
-    assert a.to_json() == b.to_json()
+def test_build_certificate_refuses_threads_other_than_one():
+    # the pair checks run serially; the parameter stays only at its default
+    for threads in (0, 3):
+        with pytest.raises(ValueError, match="threads"):
+            build_certificate(1, threads=threads)
 
 
 # ---------------------------------------------------------------------------

@@ -144,10 +144,12 @@ def test_certify_bound_outside_verifier_range_exit_code(capsys, bound):
     ["certify", "-M", "1", "--force-D", "24"],
     # the period of sqrt(94) has length 16: the verifier would reject index 31
     ["certify", "-M", "1", "--force-D", "94", "--indices", "5,31"],
+    # a trailing sign used to be dropped, so this decided x1^2 + x2^2
+    ["represent", "5", "--form", "x1^2 + x2^2 +", "--target", "1"],
 ], ids=["no-field", "squarefree-undetermined", "witness-count", "forced-not-squarefree",
-        "index-past-period"])
+        "index-past-period", "represent-trailing-sign"])
 def test_certify_error_exit_code(capsys, argv):
-    """Exit 1 means refuted; a certify run that cannot finish exits 2."""
+    """Exit 1 means refuted; a run that cannot finish exits 2."""
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

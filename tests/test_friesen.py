@@ -130,6 +130,19 @@ def test_construct_growth_and_parity_generic():
                 assert seq.s % 3 == 2
 
 
+@pytest.mark.parametrize("base, b, lengths", [
+    ("minimal", 2, (8, 12, 16, 20)),
+    ("threes", 3, (8, 14, 17, 20)),
+])
+def test_construct_sequence_pinned(base, b, lengths):
+    # M = 1..4: the palindrome on the core b^(3^i), i < r, with the central
+    # entry once (s even) or twice (s odd) and unscaled in every case
+    for M, s in enumerate(lengths, start=1):
+        core = [b ** 3 ** i for i in range(s // 2)]
+        tail = core[::-1] if s % 2 else core[-2::-1]
+        assert construct_sequence(M, base).values == tuple(core + tail), (M, base)
+
+
 def test_derive_roundtrip_key_invariant():
     # progression members are integrality-admissible but may still collapse
     # to a shorter minimal period (k = 4 gives D = 20 = [4; 2,8]); derive_D

@@ -81,6 +81,17 @@ def test_audit_small_sweep():
         assert audit_lemma(D, 200).all_matched, D
 
 
+def test_audit_part_b_is_the_eighth_bound_scan():
+    # part b filters the half-bound scan; it must hold exactly what an
+    # enumeration at the eighth bound finds
+    for D in squarefree_sieve(500):
+        if D % 4 != 1:
+            continue
+        part_b = audit_lemma(D, 1000).part_b
+        eighth = enumerate_small_norm(D, Fraction(1, 8), 1000)
+        assert [(e.mu, e.norm) for e in part_b] == [(e.mu, e.norm) for e in eighth], D
+
+
 def test_ramified_examples():
     assert ramified_divisibility(QuadElem(13, 0, 1), 13) == [13]
     assert ramified_divisibility(QuadElem(13, 18, 5), 13) == []
