@@ -17,6 +17,7 @@ totally positive integers up to a trace bound.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -37,7 +38,7 @@ from .qarith import (
     squarefree_status,
     succeq,
 )
-from .qd import QD, sqrt_in_field
+from .qd import QD, frac_sqrt_outer, sqrt_in_field
 
 CERT_VERSION = 1
 
@@ -468,8 +469,6 @@ def decide_represent(form: QuadraticForm, target: QuadElem) -> RepresentResult:
     tgt = _elem_to_qd(target)
     binv = _inverse_diagonal(U, d)
     # per-coordinate boxes
-    from .qd import frac_sqrt_outer
-
     def coordinate_box(t: int) -> Tuple[Fraction, Fraction]:
         th1 = (tgt * binv[t]).upper_frac(24)
         th2 = (tgt.conj() * binv[t].conj()).upper_frac(24)
@@ -531,8 +530,6 @@ def decide_represent(form: QuadraticForm, target: QuadElem) -> RepresentResult:
 # ---------------------------------------------------------------------------
 # form parsing: "a11 x1^2 + a12 x1 x2 + ..."
 # ---------------------------------------------------------------------------
-
-import re
 
 _TERM_RE = re.compile(
     r"^(?P<coef>.*?)\s*\*?\s*x(?P<v1>\d+)\s*(?:(?P<sq>\^\s*2)|\*?\s*x(?P<v2>\d+))$"

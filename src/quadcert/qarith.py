@@ -10,12 +10,15 @@ Also here: `isqrt` (re-exported from `math`), squarefree testing (exact
 proof or trial division to a bound, capped at MAX_TRIAL_BOUND), and a
 deterministic Miller-Rabin for the range where it is a proof.
 
-Above 2**62 the trial scan folds products of primes mod n.  The first call
-sieves the primes; the products of the full segments up to
-DEFAULT_TRIAL_BOUND stay in `_SEGMENT_BLOCKS` (about 1.7 MB), so later calls
-in the process, for any n, only fold them and sieve again just the segments
-where a gcd finds a prime factor.  A segment's blocks become one product the
-first time a scan reuses it.  The table depends on the primes alone.
+Above 2**62 the trial scan reduces products of primes mod n.  The first
+call sieves the primes; the products of the segments up to
+DEFAULT_TRIAL_BOUND (the last one cut short there) stay in `_SEGMENT_BLOCKS`
+(about 2 MB), so later calls in the process, for any n, only reduce them
+and sieve again just the segments where a gcd finds a prime factor.  A
+segment's blocks become one product the first time a scan reuses it, and a
+stored product is reduced by a short ladder of products with 2**m mod n
+(`_fold_ladder`, `_fold_mod`) instead of a long division.  The table depends
+on the primes alone.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .qd import _sign_pair
 
 class SquarefreeUndetermined(Exception):
     """Exact squarefree classification found no proof: a probable prime beyond
-    the deterministic Miller-Rabin range, or no factor within RHO_BUDGET."""
+    the deterministic Miller-Rabin range, or no split within RHO_BUDGET."""
 
 
 def is_square(n: int) -> bool:
@@ -226,9 +229,12 @@ def parse_elem(text: str, D: Optional[int] = None) -> QuadElem:
 # deterministic Miller-Rabin witness bound (Sorenson & Webster)
 _MR_PROVEN_BOUND = 3317044064679887385961981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Iterations each Pollard-Brent rho attempt may spend.  A certificate does
-# not record it and the verifier re-classifies D with it, so it is fixed.
-RHO_BUDGET = 40_000_000
+# Pollard-Brent iterations one squarefree classification may spend over all
+# its seeds and recursive splits.  A certificate does not record it and the
+# verifier re-classifies D with it, so it is fixed.  The honest certificates
+# need at most 510 (M = 1; none for the small fields D = 94 ... 5806), and a
+# 965-bit cofactor runs out of it in about a second.
+RHO_BUDGET = 100_000
 
 
 def _miller_rabin(n: int) -> bool:
@@ -263,30 +269,41 @@ def is_prime_proved(n: int) -> Optional[bool]:
     return None
 
 
-def _brent_rho(n: int, seed: int) -> Optional[int]:
-    """Brent's cycle variant of Pollard rho within RHO_BUDGET iterations;
-    returns a nontrivial factor or None."""
+class _RhoBudget:
+    """Pollard-Brent iterations left to one squarefree classification, shared
+    by all of its seeds and recursive splits."""
+
+    def __init__(self):
+        self.left = RHO_BUDGET
+
+
+def _brent_rho(n: int, seed: int, budget: _RhoBudget) -> Optional[int]:
+    """Brent's cycle variant of Pollard rho; returns a nontrivial factor, or
+    None when it fails or the budget cannot pay for its next round."""
     if n % 2 == 0:
         return 2
     y = seed % n or 1
     c = (seed * 2654435761 + 1) % n or 1
     m = 128
     g = r = q = 1
-    iters = 0
     x = ys = y
-    while g == 1 and iters < RHO_BUDGET:
+    while g == 1:
+        if budget.left < 2 * r:  # a round takes at most 2r iterations
+            return None
         x = y
         for _ in range(r):
             y = (y * y + c) % n
+        budget.left -= r
         k = 0
         while k < r and g == 1:
             ys = y
-            for _ in range(min(m, r - k)):
+            step = min(m, r - k)
+            for _ in range(step):
                 y = (y * y + c) % n
                 q = q * abs(x - y) % n
+            budget.left -= step
             g = gcd(q, n)
             k += m
-            iters += m
         r *= 2
     if g == n:
         g = 1
@@ -296,14 +313,21 @@ def _brent_rho(n: int, seed: int) -> Optional[int]:
     return g if 1 < g < n else None
 
 
-def _perfect_power_root(n: int) -> Optional[int]:
-    """m with m**e == n for the smallest e >= 2 that has one, or None.
+def _perfect_power_root(n: int, bound: int) -> Optional[int]:
+    """m with m**e == n for the smallest e >= 2 that has one, or None; n has
+    no prime factor <= bound.
 
-    Not the smallest root: 64 gives 8 (e = 2), not 2; callers need only some
-    root.
+    The smallest such e is prime, and every root exceeds bound, so only
+    prime e with (bound + 1)**e <= n can have one; e_max bounds those from
+    the bit lengths (2**k <= bound + 1 for its divisor k).  Not the smallest
+    root: 64 gives 8 (e = 2), not 2; callers need only some root.
     """
-    for e in range(2, n.bit_length() + 1):
-        lo, hi = 2, 1 << (n.bit_length() // e + 1)
+    bits = n.bit_length()
+    e_max = (bits - 1) // ((bound + 1).bit_length() - 1)
+    for e in range(2, e_max + 1):
+        if not is_prime_proved(e):
+            continue
+        lo, hi = 2, 1 << (bits // e + 1)
         while lo <= hi:
             mid = (lo + hi) // 2
             p = mid ** e
@@ -316,7 +340,7 @@ def _perfect_power_root(n: int) -> Optional[int]:
     return None
 
 
-def _smallest_prime_factor(n: int) -> int:
+def _smallest_prime_factor(n: int, budget: _RhoBudget) -> int:
     """Some prime factor of n > 1 (not necessarily smallest for rho splits)."""
     if n % 2 == 0:
         return 2
@@ -333,9 +357,9 @@ def _smallest_prime_factor(n: int) -> int:
             f"{n} is a probable prime beyond the deterministic range"
         )
     for seed in range(1, 8):
-        f = _brent_rho(n, seed * 7919)
+        f = _brent_rho(n, seed * 7919, budget)
         if f:
-            return _smallest_prime_factor(f)
+            return _smallest_prime_factor(f, budget)
     raise SquarefreeUndetermined(f"cannot extract a prime factor of {n}")
 
 
@@ -392,14 +416,15 @@ _SIEVE_SEGMENT = 1 << 15
 # MAX_TRIAL_BOUND) multiplied together into one block product
 _PAIR_BLOCK = 64
 
-# The block products of every full sieve segment lying wholly at or below
-# DEFAULT_TRIAL_BOUND, keyed by the segment's first odd number.  Bignum scans
-# fill it lazily and later scans fold it mod n instead of re-sieving.  The
-# first scan that reuses a segment replaces its blocks by a one-tuple, their
-# product (about 94,000 bits): one long division mod n per segment from then
-# on, while a one-shot process never pays for building it.  The table depends
-# only on the primes, never on n, so generator and verifier share it; full,
-# it holds 152 segments in about 1.7 MB whatever bound is scanned.
+# The block products of the sieve segments a scan to DEFAULT_TRIAL_BOUND
+# meets, the last one cut short at that bound, keyed by the segment's first
+# odd number.  Bignum scans fill it lazily and later scans reduce it mod n
+# instead of re-sieving.  The first scan that reuses a segment replaces its
+# blocks by a one-tuple, their product (about 94,000 bits), reduced by the
+# ladder fold from then on, while a one-shot process never pays for building
+# it.  The table depends only on the primes, never on n, so generator and
+# verifier share it; full, it holds 153 segments in about 2 MB whatever
+# bound is scanned.
 _SEGMENT_BLOCKS: dict = {}
 
 
@@ -444,6 +469,33 @@ def _tree_product(xs) -> int:
     return xs[0]
 
 
+def _fold_ladder(n: int, top: int) -> list:
+    """Rungs (m, 2**m % n, 2**m - 1) for `_fold_mod` on numbers of about
+    `top` bits.  m starts halfway between top and n's bit length, halves its
+    distance to that length at each rung, and stops once it is no longer half
+    as long again as n: then the last remainder is short.  Empty when n is at
+    least half as long as top."""
+    nbits = n.bit_length()
+    rungs = []
+    m = (top + nbits) // 2
+    while 2 * m > 3 * nbits:
+        rungs.append((m, pow(2, m, n), (1 << m) - 1))
+        m = (m + nbits) // 2
+    return rungs
+
+
+def _fold_mod(c: int, n: int, rungs: list) -> int:
+    """c % n for rungs from `_fold_ladder(n0, ·)`, where n divides n0.
+
+    Each rung replaces c by (c >> m)*(2**m % n0) + (c & (2**m - 1)), which is
+    congruent to c mod n0 and shorter: a product where `c % n` would run a
+    long division of all of c.
+    """
+    for m, r, mask in rungs:
+        c = (c >> m) * r + (c & mask)
+    return c % n
+
+
 def _trial_square_scan(n: int, bound: int):
     """(status, p, cofactor) as in the kernels, any bit length; bound must
     not exceed MAX_TRIAL_BOUND.
@@ -455,9 +507,9 @@ def _trial_square_scan(n: int, bound: int):
     if n < _kernels.INT64_SAFE and bound < _kernels.INT64_SAFE:
         st, p, cof = _kernels.trial_square_scan_i64(n, bound)
         return int(st), int(p), int(cof)
-    # bignum path (Bernstein's batching): fold each segment's block products
-    # into a running product mod n; one gcd per segment then yields the
-    # product of that segment's primes dividing n, usually 1
+    # bignum path (Bernstein's batching): reduce the product of each
+    # segment's primes mod n; one gcd per segment then yields the product of
+    # that segment's primes dividing n, usually 1
     if bound < 2:
         return 1, 0, n
     if n % 2 == 0:
@@ -466,25 +518,34 @@ def _trial_square_scan(n: int, bound: int):
             return 0, 2, n
     limit = min(bound, isqrt(n))
     base = _odd_primes_upto(isqrt(limit))  # under a millisecond
+    # built once, at the first stored product; n only loses prime factors
+    # after that, so the rungs stay congruences mod every later n
+    rungs = None
     lo = 3
     while lo <= limit:
         size = min(_SIEVE_SEGMENT, (limit - lo) // 2 + 1)
         hi = lo + 2 * size
         primes = None
-        blocks = _SEGMENT_BLOCKS.get(lo) if size == _SIEVE_SEGMENT else None
+        # the segment a scan to DEFAULT_TRIAL_BOUND meets at lo, the last
+        # one cut short there, is the one the table may hold
+        stored = size == min(_SIEVE_SEGMENT, (DEFAULT_TRIAL_BOUND - lo) // 2 + 1)
+        blocks = _SEGMENT_BLOCKS.get(lo) if stored else None
         if blocks is None:
             primes = _sieve_segment(lo, size, base)
             blocks = _block_products(primes)
-            if size == _SIEVE_SEGMENT and hi <= DEFAULT_TRIAL_BOUND:
+            if stored:
                 _SEGMENT_BLOCKS[lo] = blocks
-        elif len(blocks) > 1:
-            # the segment is being reused: store and fold one product, one
-            # long division mod n where its blocks took three operations each
-            blocks = _SEGMENT_BLOCKS[lo] = (_tree_product(blocks),)
-        acc = 1
-        for c in blocks:
-            # reducing a block longer than n first keeps the product small
-            acc = acc * (c % n) % n
+            acc = 1
+            for c in blocks:
+                # reducing a block longer than n first keeps the product small
+                acc = acc * (c % n) % n
+        else:
+            if len(blocks) > 1:
+                # the segment is being reused: store and fold one product
+                blocks = _SEGMENT_BLOCKS[lo] = (_tree_product(blocks),)
+            if rungs is None:
+                rungs = _fold_ladder(n, blocks[0].bit_length())
+            acc = _fold_mod(blocks[0], n, rungs)
         g = gcd(acc, n)
         if g > 1:
             if primes is None:  # a stored segment: sieve it again to walk it
@@ -494,11 +555,14 @@ def _trial_square_scan(n: int, bound: int):
                     n //= p
                     if n % p == 0:
                         return 0, p, n
+                    g //= p
+                    if g == 1:  # every prime of g divided out
+                        break
         lo = hi
     return 1, 0, n
 
 
-def _classify_cofactor(c: int, trial_bound: int) -> Optional[int]:
+def _classify_cofactor(c: int, trial_bound: int, budget: _RhoBudget) -> Optional[int]:
     """Return a prime p with p*p | c, or None when c is proved squarefree.
 
     c has no prime factor <= trial_bound.  Raises SquarefreeUndetermined when
@@ -506,9 +570,9 @@ def _classify_cofactor(c: int, trial_bound: int) -> Optional[int]:
     """
     if c == 1:
         return None
-    r = _perfect_power_root(c)
+    r = _perfect_power_root(c, trial_bound)
     if r is not None:
-        return _smallest_prime_factor(r)
+        return _smallest_prime_factor(r, budget)
     p = is_prime_proved(c)
     if p is True:
         return None
@@ -523,17 +587,17 @@ def _classify_cofactor(c: int, trial_bound: int) -> Optional[int]:
         return None
     # split and recurse on both halves
     for seed in range(1, 6):
-        f = _brent_rho(c, seed * 104729)
+        f = _brent_rho(c, seed * 104729, budget)
         if f is None:
             continue
         g = c // f
         d = gcd(f, g)
         if d > 1:
-            return _smallest_prime_factor(d)
-        wa = _classify_cofactor(f, trial_bound)
+            return _smallest_prime_factor(d, budget)
+        wa = _classify_cofactor(f, trial_bound, budget)
         if wa is not None:
             return wa
-        return _classify_cofactor(g, trial_bound)
+        return _classify_cofactor(g, trial_bound, budget)
     raise SquarefreeUndetermined(f"cannot factor cofactor {c} within budget")
 
 
@@ -562,7 +626,7 @@ def squarefree_status(n: int, mode: str = "exact",
         return SquarefreeStatus("not-squarefree", witness=p, bound=bound, mode=mode)
     if mode == "probable":
         return SquarefreeStatus("probably-squarefree", bound=bound, mode=mode)
-    w = _classify_cofactor(cof, bound)
+    w = _classify_cofactor(cof, bound, _RhoBudget())
     if w is not None:
         return SquarefreeStatus("not-squarefree", witness=w, bound=bound, mode=mode)
     return SquarefreeStatus("squarefree-proved", bound=bound, mode=mode)

@@ -17,7 +17,14 @@ from typing import List, Optional, Tuple
 
 from . import _kernels
 from .contfrac import SurdExpansion, alpha as _alpha, convergent_iter, expand_sqrt
-from .qarith import QuadElem, _smallest_prime_factor, is_square, isqrt, squarefree_status
+from .qarith import (
+    QuadElem,
+    _RhoBudget,
+    _smallest_prime_factor,
+    is_square,
+    isqrt,
+    squarefree_status,
+)
 
 BOUND_HALF = Fraction(1, 2)
 BOUND_EIGHTH = Fraction(1, 8)
@@ -221,10 +228,12 @@ def audit_lemma(D: int, y_max: int) -> AuditReport:
 # ---------------------------------------------------------------------------
 
 def _factor(n: int) -> List[int]:
-    """Prime factors of n (squarefree n expected), ascending."""
+    """Prime factors of n (squarefree n expected), ascending, within one rho
+    budget."""
     out = []
+    budget = _RhoBudget()
     while n > 1:
-        p = _smallest_prime_factor(n)
+        p = _smallest_prime_factor(n, budget)
         out.append(p)
         while n % p == 0:
             n //= p

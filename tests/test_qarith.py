@@ -20,6 +20,8 @@ from quadcert.qarith import (
     MAX_TRIAL_BOUND,
     QuadElem,
     SquarefreeUndetermined,
+    _fold_ladder,
+    _fold_mod,
     _perfect_power_root,
     _trial_square_scan,
     format_elem,
@@ -254,6 +256,61 @@ def test_planted_square_in_a_promoted_segment(state):
     assert _trial_square_scan(n, bound) == want
 
 
+_LAST_SEGMENT = 3 + 152 * 2 * _SIEVE_SEGMENT  # the stored segment cut at 10**7
+_ABOVE_BOUND = _next_prime(DEFAULT_TRIAL_BOUND + 1)
+
+
+@pytest.mark.parametrize("where", ["first", "promoted", "last"])
+@pytest.mark.parametrize("bits", [972, 8741])
+def test_planted_square_in_each_kind_of_stored_segment(bits, where):
+    """p*p planted in the first segment, in a middle segment and in the
+    stored last segment of an n about as long as the M = 2 and M = 3 D
+    (972 and 8741 bits, so the ladder fold runs), after single prime factors
+    in the first segment and in the segment before p's: every table state
+    gives the witness and the cofactor known by construction."""
+    lo = {"first": 3, "promoted": 3 + 152 * _SIEVE_SEGMENT, "last": _LAST_SEGMENT}[where]
+    p = _next_prime(lo + 5000)
+    singles = [3, 7, 19] + ([_prev_prime(lo - 2)] if lo > 3 else [])
+    after = _next_prime(p + 2)  # divides n once, past the witness
+    body = _P62 * _ABOVE_BOUND ** ((bits - 62) // 24)
+    n = body * p * p * prod(singles) * after
+    want = (0, p, body * p * after)
+    assert 8 * abs(n.bit_length() - bits) < bits
+    got = []
+    for state in _TABLE_STATES.values():
+        _SEGMENT_BLOCKS.clear()
+        _SEGMENT_BLOCKS.update(state())
+        got.append(_trial_square_scan(n, DEFAULT_TRIAL_BOUND))
+    assert got == [want] * 3
+
+
+@given(
+    x_bits=st.integers(0, 200_000),
+    n_bits=st.integers(64, 100_000),
+    divisor=st.integers(1, 2 ** 20),
+    top=st.one_of(st.just(None), st.integers(0, 200_000)),
+    rnd=st.randoms(use_true_random=False),
+)
+@example(x_bits=94_000, n_bits=78_723, divisor=1, top=None, rnd=random.Random(1))  # M = 4: no rungs
+@example(x_bits=200_000, n_bits=64, divisor=3, top=None, rnd=random.Random(2))
+@example(x_bits=94_000, n_bits=972, divisor=1, top=None, rnd=random.Random(3))
+@example(x_bits=0, n_bits=972, divisor=1, top=94_000, rnd=random.Random(4))
+@settings(max_examples=60, deadline=None)
+def test_ladder_fold_matches_remainder(x_bits, n_bits, divisor, top, rnd):
+    """The ladder fold is x % n, for rungs built mod n or mod a multiple of
+    n (the scan's n loses prime factors after its rungs are built), for x
+    longer or shorter than the length the rungs were built for."""
+    x = rnd.getrandbits(x_bits)
+    n = rnd.getrandbits(n_bits) | 1 << (n_bits - 1) | 1
+    top = x_bits if top is None else top
+    n0 = n * (2 * divisor + 1)
+    for base in (n, n0):
+        rungs = _fold_ladder(base, top)
+        if 2 * base.bit_length() >= top:
+            assert rungs == []
+        assert _fold_mod(x, n, rungs) == x % n
+
+
 def _plain_primes(lo: int, hi: int) -> list:
     """Primes in [lo, hi) by trial-division base primes and a byte sieve."""
     small = [q for q in range(2, isqrt(hi) + 1) if all(q % d for d in range(2, isqrt(q) + 1))]
@@ -267,13 +324,16 @@ def _plain_primes(lo: int, hi: int) -> list:
 def test_segment_table_holds_full_segments_below_default_bound():
     """A scan cut inside a segment stores only the full segments before it;
     an unaligned scan past the default bound stores exactly the full
-    segments with hi <= DEFAULT_TRIAL_BOUND.  A segment stored for the first
-    time holds the products of its runs of primes; one the scan reuses holds
-    a single product from then on.  Either way the entry multiplies out to
-    the product of the segment's primes, as an independent sieve finds them."""
+    segments with hi <= DEFAULT_TRIAL_BOUND, and a scan to the default bound
+    also stores its last segment, cut short there.  A segment stored for the
+    first time holds the products of its runs of primes; one the scan
+    reuses holds a single product from then on.  Either way the entry
+    multiplies out to the product of the segment's primes, as an independent
+    sieve finds them."""
     stride = 2 * _SIEVE_SEGMENT
     full = [lo for lo in range(3, DEFAULT_TRIAL_BOUND, stride) if lo + stride <= DEFAULT_TRIAL_BOUND]
     assert len(full) == 152
+    last = full[-1] + stride
     half = len(full) // 2
     mid = full[half]
     n = 3 * _P62  # no prime square up to the bounds; each scan runs to the end
@@ -281,23 +341,33 @@ def test_segment_table_holds_full_segments_below_default_bound():
     assert _trial_square_scan(n, mid + 2000) == (1, 0, _P62)  # stops inside mid
     assert sorted(_SEGMENT_BLOCKS) == full[:half]
     assert all(len(_SEGMENT_BLOCKS[lo]) > 1 for lo in full[:half])
+    # the segment at `last` runs its full length here: not the stored one
     assert _trial_square_scan(n, DEFAULT_TRIAL_BOUND + 3 * 2 ** 16) == (1, 0, _P62)
     assert sorted(_SEGMENT_BLOCKS) == full
     assert all(len(_SEGMENT_BLOCKS[lo]) == 1 for lo in full[:half])  # reused
     assert all(len(_SEGMENT_BLOCKS[lo]) > 1 for lo in full[half:])  # stored
     primes = {lo: [q for q in _plain_primes(lo, lo + stride) if q > 2]
               for lo in (full[0], full[half - 1], mid, full[-1])}
+    primes[last] = _plain_primes(last, DEFAULT_TRIAL_BOUND + 1)
     for lo in (mid, full[-1]):
         runs = tuple(prod(primes[lo][i:i + _BLOCK_PRIMES])
                      for i in range(0, len(primes[lo]), _BLOCK_PRIMES))
         assert _SEGMENT_BLOCKS[lo] == runs, lo
     before = dict(_SEGMENT_BLOCKS)
     assert _trial_square_scan(n, DEFAULT_TRIAL_BOUND) == (1, 0, _P62)
+    assert sorted(_SEGMENT_BLOCKS) == full + [last]
     assert all(len(_SEGMENT_BLOCKS[lo]) == 1 for lo in full)
+    assert len(_SEGMENT_BLOCKS[last]) > 1  # stored, not yet reused
     for lo in full:
         assert prod(_SEGMENT_BLOCKS[lo]) == prod(before[lo]), lo
     for lo, ps in primes.items():
         assert prod(_SEGMENT_BLOCKS[lo]) == prod(ps), lo
+    # a scan that stops short of the default bound never folds the stored
+    # last segment: its largest prime stays in the cofactor
+    top = primes[last][-1]
+    assert _trial_square_scan(n * top, top - 1) == (1, 0, _P62 * top)
+    assert _trial_square_scan(n * top, DEFAULT_TRIAL_BOUND) == (1, 0, _P62)
+    assert _SEGMENT_BLOCKS[last] == (prod(primes[last]),)  # reused: one product
 
 
 def test_fresh_import_leaves_segment_table_empty():
@@ -338,10 +408,24 @@ def test_bound_the_verifier_calls_malformed_is_refused(mode, bound):
 
 def test_perfect_power_root_takes_the_smallest_exponent():
     # some root is all its callers need: 64 = 8**2 gives 8, not 2
-    assert _perfect_power_root(64) == 8
-    assert _perfect_power_root(2 ** 15) == 2 ** 5  # 15 = 3 * 5: cube root first
-    assert _perfect_power_root(7 ** 5) == 7
-    assert _perfect_power_root(10 ** 30 + 57) is None
+    assert _perfect_power_root(64, 1) == 8
+    assert _perfect_power_root(2 ** 15, 1) == 2 ** 5  # 15 = 3 * 5: cube root first
+    assert _perfect_power_root(7 ** 5, 1) == 7
+    assert _perfect_power_root(10 ** 30 + 57, 1) is None
+
+
+@pytest.mark.parametrize("e", [2, 3, 5, 7, 11, 13])
+def test_perfect_power_root_finds_roots_just_above_the_bound(e):
+    """Only prime exponents e with (bound + 1)**e <= n are tried; a root
+    just past the bound, alone or times a second such prime, is still found
+    for every e up to that limit."""
+    bound = DEFAULT_TRIAL_BOUND
+    p = _next_prime(bound + 1)
+    q = _next_prime(p + 1)
+    for m in (p, p * q):
+        assert _perfect_power_root(m ** e, bound) == m
+        assert _perfect_power_root(m ** e * q, bound) is None
+    assert _perfect_power_root(p ** 4, bound) == p ** 2
 
 
 elem_strategy = st.tuples(

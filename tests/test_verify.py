@@ -98,6 +98,20 @@ def test_rejects_soundness_upgrade(cert_m2):
     assert not v.accepted
 
 
+def test_rejects_forged_exact_proof_within_seconds(cert_m2):
+    """The M = 2 certificate with its squarefree block claiming an exact
+    proof passes every cheaper check; re-proving it for the 972-bit D runs
+    out of the rho budget, so the verifier rejects within seconds."""
+    obj = copy.deepcopy(cert_m2.to_json())
+    obj["squarefree"].update(mode="exact", verdict="squarefree-proved")
+    obj["conclusion"]["soundness"] = "proved"
+    t = time.perf_counter()
+    v = verify_certificate(obj)
+    assert not v.accepted
+    assert v.reason == "squarefree status cannot be re-established"
+    assert time.perf_counter() - t < 20
+
+
 def test_rejects_rank_inflation(cert_m1):
     obj = copy.deepcopy(cert_m1.to_json())
     obj["conclusion"]["excluded_rank_le"] = 2
