@@ -33,7 +33,7 @@ from .qarith import (
     parse_elem,
 )
 from .smallnorm import audit_lemma, classify_elements, enumerate_small_norm, power_trace
-from .verify import MalformedCertificate, verify_file
+from .verify import MalformedCertificate, verify_certificate, verify_file
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -60,6 +60,13 @@ class _SquarefreeMode(argparse.Action):
         except ValueError as exc:
             parser.error(str(exc))
         setattr(namespace, self.dest, (text.partition(":")[0], bound))
+
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 def _parse_krange(text: str):
@@ -148,6 +155,10 @@ def cmd_certify(args) -> int:
         sf_mode=mode, sf_bound=bound, force_D=args.force_D, indices=indices,
     )
     text = cert.dumps()
+    if cert.soundness != "refuted":  # the independent verifier, on the bytes to write
+        verdict = verify_certificate(text)
+        if not verdict.accepted:
+            raise CertificateError(f"its own verifier rejects the certificate: {verdict.reason}")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -271,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cf", help="continued fraction of sqrt(D)")
     p.add_argument("D", type=int)
-    p.add_argument("--terms", type=int, default=0)
+    p.add_argument("--terms", type=_count, default=0)
     p.set_defaults(fn=cmd_cf)
 
     p = sub.add_parser("friesen-check", help="parity criterion for a symmetric sequence")
@@ -340,7 +351,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, KeyError, CertificateError, SquarefreeUndetermined) as exc:
+    except (ValueError, KeyError, CertificateError, MalformedCertificate,
+            SquarefreeUndetermined) as exc:
         # exit 1 is a verdict (rejected or refuted), never a failure
         print(f"error: {exc}", file=sys.stderr)
         return 2

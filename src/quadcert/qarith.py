@@ -229,11 +229,12 @@ def parse_elem(text: str, D: Optional[int] = None) -> QuadElem:
 # deterministic Miller-Rabin witness bound (Sorenson & Webster)
 _MR_PROVEN_BOUND = 3317044064679887385961981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Pollard-Brent iterations one squarefree classification may spend over all
-# its seeds and recursive splits.  A certificate does not record it and the
-# verifier re-classifies D with it, so it is fixed.  The honest certificates
-# need at most 510 (M = 1; none for the small fields D = 94 ... 5806), and a
-# 965-bit cofactor runs out of it in about a second.
+# Pollard-Brent work one squarefree classification may spend over all its
+# seeds and recursive splits; the verifier re-classifies D with it, so it is
+# fixed.  An iteration mod n of b bits costs ceil(b^2 / 2^20), one up to
+# 1,024 bits and then about as fast as its multiply-and-reduce grows, so the
+# budget runs out within seconds at any size.  The honest M = 1 certificate
+# needs 510, the small fields D = 94 ... 5806 none.
 RHO_BUDGET = 100_000
 
 
@@ -270,8 +271,8 @@ def is_prime_proved(n: int) -> Optional[bool]:
 
 
 class _RhoBudget:
-    """Pollard-Brent iterations left to one squarefree classification, shared
-    by all of its seeds and recursive splits."""
+    """Pollard-Brent work left to one squarefree classification, shared by
+    all of its seeds and recursive splits."""
 
     def __init__(self):
         self.left = RHO_BUDGET
@@ -284,16 +285,17 @@ def _brent_rho(n: int, seed: int, budget: _RhoBudget) -> Optional[int]:
         return 2
     y = seed % n or 1
     c = (seed * 2654435761 + 1) % n or 1
+    cost = (n.bit_length() ** 2 + (1 << 20) - 1) >> 20  # per iteration, see RHO_BUDGET
     m = 128
     g = r = q = 1
     x = ys = y
     while g == 1:
-        if budget.left < 2 * r:  # a round takes at most 2r iterations
+        if budget.left < 2 * r * cost:  # a round takes at most 2r iterations
             return None
         x = y
         for _ in range(r):
             y = (y * y + c) % n
-        budget.left -= r
+        budget.left -= r * cost
         k = 0
         while k < r and g == 1:
             ys = y
@@ -301,7 +303,7 @@ def _brent_rho(n: int, seed: int, budget: _RhoBudget) -> Optional[int]:
             for _ in range(step):
                 y = (y * y + c) % n
                 q = q * abs(x - y) % n
-            budget.left -= step
+            budget.left -= step * cost
             g = gcd(q, n)
             k += m
         r *= 2

@@ -25,5 +25,10 @@ def cert_m2():
 
 
 @pytest.fixture(scope="session")
+def cert_m3():
+    return build_certificate(3, base="minimal")
+
+
+@pytest.fixture(scope="session")
 def cert_refuted_13():
     return build_certificate(1, force_D=13)

@@ -106,9 +106,45 @@ def test_certify_verify_files(tmp_path, capsys):
     assert code == 2 and "MALFORMED" in out
 
 
+def test_certify_refuses_a_certificate_its_verifier_rejects(tmp_path, capsys, monkeypatch):
+    """certify hands every certificate it would call proved or conditional
+    to the independent verifier, and writes nothing the verifier rejects."""
+    from quadcert import certify
+
+    real = certify._box_violators
+    monkeypatch.setattr(certify, "_box_violators",
+                        lambda *box: (real(*box)[0], ()))  # drops every violator
+    out = tmp_path / "c13.json"
+    code = main(["certify", "-M", "1", "--force-D", "13", "--indices", "1,3", "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "pair (1,3) has violators" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+    monkeypatch.undo()
+    code = main(["certify", "-M", "1", "--force-D", "13", "--indices", "1,3", "-o", str(out)])
+    assert code == 1 and out.exists()  # a refuted control is still written
+
+
+def test_certify_writes_the_certificate_it_verified(tmp_path, capsys, cert_m1):
+    out = tmp_path / "m1.json"
+    code = main(["certify", "-M", "1", "-o", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert out.read_text(encoding="utf-8") == cert_m1.dumps() + "\n"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["cf"]) == 2  # missing D
     assert main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("terms", ["-1", "-100"])
+def test_cf_negative_terms_is_a_usage_error(capsys, terms):
+    assert main(["cf", "13", "--terms", terms]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be >= 0" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -209,8 +209,8 @@ def _reference_gauss(D, S1, S2):
 @pytest.fixture(scope="module")
 def pair_boxes(cert_m1, cert_m2):
     """The certificate pair boxes of M = 1 and M = 2, each also with both
-    windows doubled as in the doubling audit: y-ranges up to ~2^67 with
-    sub-unit widths."""
+    windows doubled for larger inputs of the same shape: y-ranges up to
+    ~2^67 with sub-unit widths."""
     out = []
     for cert in (cert_m1, cert_m2):
         for pc in cert.pair_checks:

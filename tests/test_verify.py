@@ -98,11 +98,8 @@ def test_rejects_soundness_upgrade(cert_m2):
     assert not v.accepted
 
 
-def test_rejects_forged_exact_proof_within_seconds(cert_m2):
-    """The M = 2 certificate with its squarefree block claiming an exact
-    proof passes every cheaper check; re-proving it for the 972-bit D runs
-    out of the rho budget, so the verifier rejects within seconds."""
-    obj = copy.deepcopy(cert_m2.to_json())
+def _assert_forged_exact_proof_rejected_within_seconds(cert):
+    obj = copy.deepcopy(cert.to_json())
     obj["squarefree"].update(mode="exact", verdict="squarefree-proved")
     obj["conclusion"]["soundness"] = "proved"
     t = time.perf_counter()
@@ -110,6 +107,19 @@ def test_rejects_forged_exact_proof_within_seconds(cert_m2):
     assert not v.accepted
     assert v.reason == "squarefree status cannot be re-established"
     assert time.perf_counter() - t < 20
+
+
+def test_rejects_forged_exact_proof_within_seconds(cert_m2):
+    """The M = 2 certificate with its squarefree block claiming an exact
+    proof passes every cheaper check; re-proving it for the 972-bit D runs
+    out of the rho budget, so the verifier rejects within seconds."""
+    _assert_forged_exact_proof_rejected_within_seconds(cert_m2)
+
+
+def test_rejects_forged_exact_proof_at_m3_within_seconds(cert_m3):
+    """The same forgery on the 8,741-bit M = 3 D: rho is charged by the size
+    of its operands, so the budget runs out about as fast as at M = 2."""
+    _assert_forged_exact_proof_rejected_within_seconds(cert_m3)
 
 
 def test_rejects_rank_inflation(cert_m1):
