@@ -18,6 +18,9 @@ BACKEND = "numpy"
 # largest value the int64 kernels accept; callers fall back to bignum paths
 INT64_SAFE = 1 << 62
 
+# cells in one int64 grid of the small-norm scans (8 MiB a temporary)
+GRID_CELLS = 1 << 20
+
 
 def _isqrt64(n):
     if n < 2:
@@ -82,34 +85,45 @@ def smallnorm_window_i64(D, y_max, T, pad, parity):
 
     T is the exact integer threshold precomputed by the caller; parity=1
     restricts to odd x, odd y (half-integer elements).  Returns (xs, ys, ns)
-    sorted by (y, x)."""
+    sorted by (y, x).
+
+    The candidates are x = isqrt(D y^2) + off for |off| <= pad.  Each block
+    of y values is one (y, offset) grid of at most GRID_CELLS cells, so
+    memory does not grow with y_max or pad.  The exact integer filters run
+    first, |N| <= T on the whole grid and x >= 1, N != 0 and the parity on
+    what passes; gcd runs only on the survivors.  The grid is row-major in
+    (y, off), which is (y, x) order, so no sort is needed."""
     if T >= INT64_SAFE:
         raise ValueError("threshold exceeds the int64 kernel range")
-    ys_all = np.arange(1, y_max + 1, dtype=np.int64)
-    if parity == 1:
-        ys_all = ys_all[ys_all % 2 == 1]
-    t = D * ys_all * ys_all
-    x0 = np.sqrt(t.astype(np.float64)).astype(np.int64)
-    x0 = np.where(x0 * x0 > t, x0 - 1, x0)
-    x0 = np.where((x0 + 1) * (x0 + 1) <= t, x0 + 1, x0)
-    xs, ys, ns = [], [], []
-    for off in range(-pad, pad + 1):
-        x = x0 + off
-        ok = x >= 1
-        N = x * x - t
-        ok &= N != 0
-        ok &= (N >= -T) & (N <= T)
+    offs = np.arange(-pad, pad + 1, dtype=np.int64)
+    width = offs.size
+    step = 2 if parity == 1 else 1
+    span = max(1, GRID_CELLS // width) * step  # y range of one grid
+    xs_o, ys_o, ns_o = [], [], []
+    for lo in range(1, y_max + 1, span):
+        y = np.arange(lo, min(lo + span, y_max + 1), step, dtype=np.int64)
+        t = D * y * y
+        x0 = np.sqrt(t.astype(np.float64)).astype(np.int64)
+        x0 -= x0 * x0 > t  # exactly isqrt(t), as in smallnorm_naive_i64
+        x0 += (x0 + 1) * (x0 + 1) <= t
+        N = x0[:, None] + offs
+        N *= N
+        N -= t[:, None]
+        idx = np.flatnonzero(np.abs(N) <= T)
+        row, col = np.divmod(idx, width)
+        x, yh, n = x0[row] + offs[col], y[row], N.ravel()[idx]
+        ok = (x >= 1) & (n != 0)
         if parity == 1:
             ok &= x % 2 == 1
-        ok &= np.gcd(x, ys_all) == 1
-        xs.append(x[ok])
-        ys.append(ys_all[ok])
-        ns.append(N[ok])
-    xs = np.concatenate(xs)
-    ys = np.concatenate(ys)
-    ns = np.concatenate(ns)
-    order = np.lexsort((xs, ys))
-    return xs[order], ys[order], ns[order]
+        x, yh, n = x[ok], yh[ok], n[ok]
+        ok = np.gcd(x, yh) == 1
+        xs_o.append(x[ok])
+        ys_o.append(yh[ok])
+        ns_o.append(n[ok])
+    if not xs_o:
+        z = np.array([], dtype=np.int64)
+        return z, z, z
+    return np.concatenate(xs_o), np.concatenate(ys_o), np.concatenate(ns_o)
 
 
 def smallnorm_naive_i64(D, y_max, T, parity):
@@ -128,7 +142,7 @@ def smallnorm_naive_i64(D, y_max, T, parity):
     n_all = np.arange(-T, T + 1, dtype=np.int64)
     n_all = n_all[n_all != 0]
     xs_o, ys_o, ns_o = [], [], []
-    block = max(1, (1 << 20) // max(1, n_all.size))  # cells per temporary
+    block = max(1, GRID_CELLS // max(1, n_all.size))  # cells per temporary
     for lo in range(0, ys_all.size, block):
         y = ys_all[lo:lo + block, None]
         s = D * y * y + n_all

@@ -20,6 +20,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -377,6 +378,18 @@ def _inverse_diagonal(U: List[List[QD]], d: List[QD]) -> List[QD]:
     return diag
 
 
+@lru_cache(maxsize=16)
+def _form_factor(form: QuadraticForm):
+    """(U, d, diagonal of B^-1) of the form's Gram matrix B, or None when it
+    is not totally positive definite.  Cached per form, so the rows are
+    tuples: callers share them and must not change them."""
+    factor = _udu(form.gram())
+    if factor is None:
+        return None
+    U, d = factor
+    return tuple(map(tuple, U)), tuple(d), tuple(_inverse_diagonal(U, d))
+
+
 @dataclass(frozen=True)
 class RepresentResult:
     status: str  # 'found' | 'impossible'
@@ -441,16 +454,14 @@ def decide_represent(form: QuadraticForm, target: QuadElem) -> RepresentResult:
     D = form.D
     if target.D != D:
         raise ValueError("target field mismatch")
-    B = form.gram()
-    factor = _udu(B)
+    factor = _form_factor(form)
     if factor is None:
         raise ValueError("form is not totally positive definite")
     if not target.is_totally_positive():
         raise ValueError("target must be totally positive")
-    U, d = factor
+    U, d, binv = factor
     n = form.n
     tgt = _elem_to_qd(target)
-    binv = _inverse_diagonal(U, d)
     # per-coordinate boxes
     def coordinate_box(t: int) -> Tuple[Fraction, Fraction]:
         th1 = (tgt * binv[t]).upper_frac(24)

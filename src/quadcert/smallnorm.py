@@ -54,6 +54,11 @@ def _norm_bound_parts(bound) -> Tuple[int, int]:
     return lam.numerator ** 2, lam.denominator ** 2
 
 
+def _sort_key(e: SmallNormElement) -> Tuple[int, int]:
+    """(b/den, a) in integers: 2b/den orders as b/den does, and den is 1 or 2."""
+    return e.mu.b * (2 // e.mu.den), e.mu.a
+
+
 def enumerate_small_norm(D: int, bound, y_max: int) -> List[SmallNormElement]:
     """Primitive mu = (x + y sqrt(D))/den, 1 <= y <= y_max, 0 < |N(mu)| < bound*sqrt(D).
 
@@ -84,7 +89,7 @@ def enumerate_small_norm(D: int, bound, y_max: int) -> List[SmallNormElement]:
         for x, y, n in triples:
             assert n == x * x - D * y * y
             out.append(SmallNormElement(QuadElem(D, x, y, den), n // dd2))
-    out.sort(key=lambda e: (e.mu.b / Fraction(e.mu.den), e.mu.a))
+    out.sort(key=_sort_key)
     return out
 
 
@@ -126,7 +131,7 @@ def naive_enumerate(D: int, bound, y_max: int) -> List[SmallNormElement]:
             triples = _naive_scan_py(D, y_max, T, parity)
         for x, y, n in triples:
             out.append(SmallNormElement(QuadElem(D, x, y, den), n // dd2))
-    out.sort(key=lambda e: (e.mu.b / Fraction(e.mu.den), e.mu.a))
+    out.sort(key=_sort_key)
     return out
 
 

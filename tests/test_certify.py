@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadcert import latbox
+from quadcert import certify, latbox
 from quadcert.certify import (
     CertificateError,
     QuadraticForm,
@@ -265,6 +265,24 @@ def test_production_never_calls_the_scan(monkeypatch):
     assert build_certificate(1, force_D=13).soundness == "refuted"
     f = parse_form("x1^2 + x1 x2 + x2^2 + x3^2 + x3 x4 + x4^2", 5)
     assert decide_represent(f, QuadElem(5, 7, 1, 2)).status == "found"
+
+
+def test_decide_represent_factors_each_form_once(monkeypatch):
+    calls = []
+    real_udu = certify._udu
+    monkeypatch.setattr(certify, "_udu", lambda B: calls.append(B) or real_udu(B))
+    certify._form_factor.cache_clear()
+    text = "x1^2 + x1 x2 + 3 x2^2"
+    targets = totally_positive_up_to(5, 12)
+    first = [decide_represent(parse_form(text, 5), t) for t in targets]
+    assert {r.status for r in first} == {"found", "impossible"}
+    assert len(calls) == 1  # an equal form parsed again shares the entry
+    # the search leaves the shared factor as it found it
+    assert [decide_represent(parse_form(text, 5), t) for t in targets] == first
+    assert len(calls) == 1
+    U, d = real_udu(parse_form(text, 5).gram())
+    assert certify._form_factor(parse_form(text, 5)) \
+        == (tuple(map(tuple, U)), tuple(d), tuple(_inverse_diagonal(U, d)))
 
 
 def test_decide_represent_sum_two_squares():

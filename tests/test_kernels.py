@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -123,9 +124,45 @@ def test_naive_scan_py_matches_kernel(D, parity, y_max, data):
     got = _naive_scan_py(D, y_max, T, parity)
     assert got == _naive(D, y_max, T, parity)
     assert got == _reference_naive_scan(D, y_max, T, parity)
-    pad = data.draw(st.integers(0, 8))
-    assert _window_scan_py(D, y_max, T, pad, parity) \
-        == _triples(*_kernels.smallnorm_window_i64(D, y_max, T, pad, parity))
+
+
+@given(D=_NONSQUARE, parity=st.sampled_from([0, 1]), y_max=st.integers(1, 300),
+       pad=st.integers(0, 64), data=st.data())
+@example(D=13, parity=1, y_max=300, pad=64, data=None)
+@example(D=2, parity=0, y_max=1, pad=0, data=None)
+@settings(max_examples=120, deadline=None)
+def test_window_kernel_matches_python_scan(D, parity, y_max, pad, data):
+    Ts = [0, isqrt(16 * D)] if data is None else [data.draw(st.integers(0, isqrt(16 * D)))]
+    for T in Ts:
+        assert _triples(*_kernels.smallnorm_window_i64(D, y_max, T, pad, parity)) \
+            == _window_scan_py(D, y_max, T, pad, parity)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_window_kernel_across_y_blocks(parity):
+    D, pad = 13, 64
+    rows = _kernels.GRID_CELLS // (2 * pad + 1)  # y values in one grid
+    y_max = 2 * rows + 5
+    T = 8 * y_max  # a few survivors in every row up to y_max
+    got = _triples(*_kernels.smallnorm_window_i64(D, y_max, T, pad, parity))
+    assert got == _window_scan_py(D, y_max, T, pad, parity)
+    ys = {y for _, y, _ in got}
+    assert min(ys) <= rows * (1 + parity) < max(ys)  # more than one grid
+
+
+def test_window_kernel_memory_is_bounded():
+    D, pad = 13, 3
+    T = isqrt((D - 1) // 4)  # |N| < sqrt(D)/2
+
+    def peak(y_max):
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            _kernels.smallnorm_window_i64(D, y_max, T, pad, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * 10 ** 6) <= 1.25 * peak(10 ** 6)
 
 
 def test_enumerate_small_norm_above_int64_guard():

@@ -61,6 +61,21 @@ def test_naive_oracle_agrees(D):
         assert [(x.mu, x.norm) for x in a] == [(x.mu, x.norm) for x in b]
 
 
+def _fraction_key(e):
+    """(b/den, a) as exact rationals."""
+    return e.mu.b / Fraction(e.mu.den), e.mu.a
+
+
+@pytest.mark.parametrize("D", [13, 21, 61, 293, 445])
+def test_enumerations_keep_the_fraction_order(D):
+    for enumerate_ in (enumerate_small_norm, naive_enumerate):
+        els = enumerate_(D, "half", 300)
+        assert {e.mu.den for e in els} == {1, 2}, enumerate_
+        keys = [_fraction_key(e) for e in els]
+        # distinct keys, so this order is the only one the old key allows
+        assert keys == sorted(set(keys)), enumerate_
+
+
 def test_audit_examples():
     assert audit_lemma(13, 50).all_matched
     assert audit_lemma(2, 50).all_matched
