@@ -80,28 +80,60 @@ def trial_square_scan_i64(n: int, bound: int):
     return 1, 0, n
 
 
+def _squares_mod(m):
+    squares = {i * i % m for i in range(m)}
+    return np.array([r in squares for r in range(m)])
+
+
+# quadratic-residue tables of the naive scan's sieve: a perfect square is a
+# square modulo every m, so a cell whose s misses one of them is no square
+_SQ64, _SQ63, _SQ65, _SQ11 = (_squares_mod(m) for m in (64, 63, 65, 11))
+
+
+def _tiles(y_max, step, lo, hi):
+    """Cover the grid (y = 1, 1 + step, ... <= y_max) x (columns lo..hi) in
+    row-major order with tiles of at most GRID_CELLS cells; yields (y, cols)
+    as int64 aranges.  Whole rows share a tile while they fit; a wider row
+    is split into column chunks, each built on its own, so no temporary
+    grows with the width."""
+    width = hi - lo + 1
+    if width <= GRID_CELLS:
+        span = (GRID_CELLS // width) * step  # y range of one tile
+        cols = np.arange(lo, hi + 1, dtype=np.int64)
+        for y0 in range(1, y_max + 1, span):
+            yield np.arange(y0, min(y0 + span, y_max + 1), step, dtype=np.int64), cols
+        return
+    for y0 in range(1, y_max + 1, step):
+        y = np.array([y0], dtype=np.int64)
+        for c0 in range(lo, hi + 1, GRID_CELLS):
+            yield y, np.arange(c0, min(c0 + GRID_CELLS, hi + 1), dtype=np.int64)
+
+
+def _concat(xs_o, ys_o, ns_o):
+    if not xs_o:
+        z = np.array([], dtype=np.int64)
+        return z, z, z
+    return np.concatenate(xs_o), np.concatenate(ys_o), np.concatenate(ns_o)
+
+
 def smallnorm_window_i64(D, y_max, T, pad, parity):
     """x near y*sqrt(D) keeping 0 < |N| <= T, N = x^2 - D y^2, gcd(x, y) = 1.
 
     T is the exact integer threshold precomputed by the caller; parity=1
     restricts to odd x, odd y (half-integer elements).  Returns (xs, ys, ns)
-    sorted by (y, x).
+    sorted by (y, x).  The caller keeps (isqrt(D y_max^2) + pad + 1)^2 in
+    int64 range.
 
-    The candidates are x = isqrt(D y^2) + off for |off| <= pad.  Each block
-    of y values is one (y, offset) grid of at most GRID_CELLS cells, so
-    memory does not grow with y_max or pad.  The exact integer filters run
-    first, |N| <= T on the whole grid and x >= 1, N != 0 and the parity on
-    what passes; gcd runs only on the survivors.  The grid is row-major in
-    (y, off), which is (y, x) order, so no sort is needed."""
+    The candidates are x = isqrt(D y^2) + off for |off| <= pad, scanned as
+    (y, offset) tiles of at most GRID_CELLS cells, so memory grows with
+    neither y_max nor pad.  The exact integer filters run first, |N| <= T
+    on the whole tile and x >= 1, N != 0 and the parity on what passes; gcd
+    runs only on the survivors.  Tiles are row-major in (y, off), which is
+    (y, x) order, so no sort is needed."""
     if T >= INT64_SAFE:
         raise ValueError("threshold exceeds the int64 kernel range")
-    offs = np.arange(-pad, pad + 1, dtype=np.int64)
-    width = offs.size
-    step = 2 if parity == 1 else 1
-    span = max(1, GRID_CELLS // width) * step  # y range of one grid
     xs_o, ys_o, ns_o = [], [], []
-    for lo in range(1, y_max + 1, span):
-        y = np.arange(lo, min(lo + span, y_max + 1), step, dtype=np.int64)
+    for y, offs in _tiles(y_max, 2 if parity == 1 else 1, -pad, pad):
         t = D * y * y
         x0 = np.sqrt(t.astype(np.float64)).astype(np.int64)
         x0 -= x0 * x0 > t  # exactly isqrt(t), as in smallnorm_naive_i64
@@ -110,7 +142,7 @@ def smallnorm_window_i64(D, y_max, T, pad, parity):
         N *= N
         N -= t[:, None]
         idx = np.flatnonzero(np.abs(N) <= T)
-        row, col = np.divmod(idx, width)
+        row, col = np.divmod(idx, offs.size)
         x, yh, n = x0[row] + offs[col], y[row], N.ravel()[idx]
         ok = (x >= 1) & (n != 0)
         if parity == 1:
@@ -120,10 +152,7 @@ def smallnorm_window_i64(D, y_max, T, pad, parity):
         xs_o.append(x[ok])
         ys_o.append(yh[ok])
         ns_o.append(n[ok])
-    if not xs_o:
-        z = np.array([], dtype=np.int64)
-        return z, z, z
-    return np.concatenate(xs_o), np.concatenate(ys_o), np.concatenate(ns_o)
+    return _concat(xs_o, ys_o, ns_o)
 
 
 def smallnorm_naive_i64(D, y_max, T, parity):
@@ -133,34 +162,36 @@ def smallnorm_naive_i64(D, y_max, T, parity):
     being a perfect square x^2 with x >= 1; every x with
     0 < |x^2 - D y^2| <= T is found that way.  Same filters and output
     format as smallnorm_window_i64, in (y, x) order.  Raises ValueError
-    unless D*y_max^2 + T < INT64_SAFE, so (x + 1)^2 cannot overflow."""
+    unless D*y_max^2 + T < INT64_SAFE, so (x + 1)^2 cannot overflow.
+
+    Every (y, n) cell is visited, in (y, n) tiles of at most GRID_CELLS
+    cells, so memory grows with neither y_max nor T.  An exact
+    quadratic-residue sieve runs first: s must be a square mod 64 (about
+    19% of cells pass), then mod 63, 65 and 11, and s >= 1.  A perfect
+    square passes every such test, so the sieve drops only non-squares.
+    The exact square test below decides on the cells left (about 1%)."""
     if D * y_max * y_max + T >= INT64_SAFE:
         raise ValueError("D*y_max^2 + T exceeds the int64 kernel range")
-    ys_all = np.arange(1, y_max + 1, dtype=np.int64)
-    if parity == 1:
-        ys_all = ys_all[ys_all % 2 == 1]
-    n_all = np.arange(-T, T + 1, dtype=np.int64)
-    n_all = n_all[n_all != 0]
     xs_o, ys_o, ns_o = [], [], []
-    block = max(1, GRID_CELLS // max(1, n_all.size))  # cells per temporary
-    for lo in range(0, ys_all.size, block):
-        y = ys_all[lo:lo + block, None]
-        s = D * y * y + n_all
-        x = np.sqrt(np.maximum(s, 0).astype(np.float64)).astype(np.int64)
+    for y, n in _tiles(y_max, 2 if parity == 1 else 1, -T, T):
+        s = (D * y * y)[:, None] + n
+        idx = np.flatnonzero(_SQ64[s & 63])
+        s = s.ravel()[idx]
+        ok = _SQ63[s % 63] & _SQ65[s % 65] & _SQ11[s % 11] & (s >= 1)
+        idx, s = idx[ok], s[ok]
+        x = np.sqrt(s.astype(np.float64)).astype(np.int64)
         # the float root is within one of isqrt(s); the correction makes x
         # exactly isqrt(s) without relying on IEEE rounding of the root
         x -= x * x > s
         x += (x + 1) * (x + 1) <= s
-        # row-major order is (y, n) order, and x grows with n within a row
-        row, col = np.nonzero((x * x == s) & (x >= 1))
-        xh, yh = x[row, col], y[row, 0]
-        ok = np.gcd(xh, yh) == 1
+        sq = x * x == s
+        # tiles are row-major in (y, n), and x grows with n within a row
+        row, col = np.divmod(idx[sq], n.size)
+        xh, yh, nh = x[sq], y[row], n[col]
+        ok = (nh != 0) & (np.gcd(xh, yh) == 1)
         if parity == 1:
             ok &= xh % 2 == 1
         xs_o.append(xh[ok])
         ys_o.append(yh[ok])
-        ns_o.append(n_all[col][ok])
-    if not xs_o:
-        z = np.array([], dtype=np.int64)
-        return z, z, z
-    return np.concatenate(xs_o), np.concatenate(ys_o), np.concatenate(ns_o)
+        ns_o.append(nh[ok])
+    return _concat(xs_o, ys_o, ns_o)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadcert import _kernels
+from quadcert import _kernels, smallnorm
 from quadcert.qarith import QuadElem
 from quadcert.smallnorm import (
     _naive_scan_py,
@@ -126,6 +126,41 @@ def test_naive_scan_py_matches_kernel(D, parity, y_max, data):
     assert got == _reference_naive_scan(D, y_max, T, parity)
 
 
+@pytest.mark.parametrize("m, table", [(64, _kernels._SQ64), (63, _kernels._SQ63),
+                                      (65, _kernels._SQ65), (11, _kernels._SQ11)])
+def test_sieve_tables_are_the_squares(m, table):
+    assert table.shape == (m,)
+    assert set(np.flatnonzero(table).tolist()) == {i * i % m for i in range(m)}
+
+
+# large D, and D next to a square so that y = 1 rows hold squares
+_WIDE_D = st.one_of(
+    st.integers(2, 10 ** 12),
+    st.builds(lambda m, k: m * m + k, st.integers(2, 10 ** 6), st.integers(-2000, 2000)),
+).filter(lambda D: D >= 2 and isqrt(D) ** 2 != D)
+
+
+@given(D=_WIDE_D, parity=st.sampled_from([0, 1]), y_max=st.integers(1, 20),
+       T=st.integers(0, 5000))
+@example(D=10 ** 12 - 1, parity=1, y_max=20, T=5000)  # D = m^2 - 1
+@settings(max_examples=40, deadline=None)
+def test_naive_kernel_matches_python_scan_at_wide_T(D, parity, y_max, T):
+    assert _naive(D, y_max, T, parity) == _naive_scan_py(D, y_max, T, parity)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_naive_kernel_dense_rows(parity):
+    D, y_max, T = 2, 5, 5000  # T >> y sqrt(D): each x <= 70 prime to y is a hit
+    got = _naive(D, y_max, T, parity)
+    assert got == _naive_scan_py(D, y_max, T, parity)
+    assert got == _reference_naive_scan(D, y_max, T, parity)
+    for y in range(1, y_max + 1, 1 + parity):
+        assert sum(1 for _, yh, _ in got if yh == y) >= 15
+    for m in (64, 63, 65, 11):  # hits in every square class of each modulus
+        classes = {i * i % m for i in range(parity, 2 * m, 1 + parity)}  # odd i if parity
+        assert {x * x % m for x, _, _ in got} == classes
+
+
 @given(D=_NONSQUARE, parity=st.sampled_from([0, 1]), y_max=st.integers(1, 300),
        pad=st.integers(0, 64), data=st.data())
 @example(D=13, parity=1, y_max=300, pad=64, data=None)
@@ -150,19 +185,66 @@ def test_window_kernel_across_y_blocks(parity):
     assert min(ys) <= rows * (1 + parity) < max(ys)  # more than one grid
 
 
+def _peak(kernel, *args):
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        kernel(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_window_kernel_memory_is_bounded():
     D, pad = 13, 3
     T = isqrt((D - 1) // 4)  # |N| < sqrt(D)/2
 
     def peak(y_max):
-        tracemalloc.start()  # numpy reports its buffers to tracemalloc
-        try:
-            _kernels.smallnorm_window_i64(D, y_max, T, pad, 0)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _peak(_kernels.smallnorm_window_i64, D, y_max, T, pad, 0)
 
     assert peak(4 * 10 ** 6) <= 1.25 * peak(10 ** 6)
+
+
+@pytest.mark.parametrize("kernel", ["window", "naive"])
+def test_kernel_memory_does_not_grow_with_row_width(kernel):
+    def peak(width):  # one row of about 2 * width cells, wider than GRID_CELLS
+        if kernel == "window":
+            return _peak(_kernels.smallnorm_window_i64, 13, 1, 1, width, 0)
+        return _peak(_kernels.smallnorm_naive_i64, 13, 1, width, 0)
+
+    assert peak(1 << 21) <= 1.25 * peak(1 << 19)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("cut", [3, 4])
+def test_kernels_across_column_chunks(parity, cut):
+    # a row of 2T + 1 > GRID_CELLS columns is split into chunks, and the
+    # second one starts at n = off = cut, so the hits n = 3 (x = 4, off = 1)
+    # and off = 3 (x = 6) of D = 13, y = 1 sit on either side of the cut
+    D, T = 13, _kernels.GRID_CELLS - cut
+    got = _naive(D, 3, T, parity)
+    assert got == _reference_naive_scan(D, 3, T, parity)
+    assert got == _triples(*_kernels.smallnorm_window_i64(D, 3, T, T, parity))
+    if parity == 0:
+        assert (4, 1, 3) in got and (6, 1, 23) in got
+
+
+def test_naive_kernel_skips_n_zero_for_square_D():
+    got = _naive(9, 4, 20, 0)
+    assert got == _naive_scan_py(9, 4, 20, 0)
+    assert got and all(n != 0 for _, _, n in got)
+
+
+def test_window_pad_past_int64_takes_python_path(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("int64 window kernel called past its range")
+
+    calls = []
+    monkeypatch.setattr(_kernels, "smallnorm_window_i64", no_kernel)
+    monkeypatch.setattr(smallnorm, "_window_scan_py", lambda *args: calls.append(args) or [])
+    assert enumerate_small_norm(2, Fraction(1 << 32), 1) == []  # pad about 2^32
+    ((D, y_max, T, pad, parity),) = calls
+    assert T < _kernels.INT64_SAFE and D * (y_max + 3) ** 2 * 4 < _kernels.INT64_SAFE
+    assert (isqrt(D) + pad) ** 2 >= 1 << 63  # (x0 + pad)^2 would overflow int64
 
 
 def test_enumerate_small_norm_above_int64_guard():
