@@ -94,19 +94,14 @@ def _tiles(y_max, step, lo, hi):
     """Cover the grid (y = 1, 1 + step, ... <= y_max) x (columns lo..hi) in
     row-major order with tiles of at most GRID_CELLS cells; yields (y, cols)
     as int64 aranges.  Whole rows share a tile while they fit; a wider row
-    is split into column chunks, each built on its own, so no temporary
-    grows with the width."""
-    width = hi - lo + 1
-    if width <= GRID_CELLS:
-        span = (GRID_CELLS // width) * step  # y range of one tile
-        cols = np.arange(lo, hi + 1, dtype=np.int64)
-        for y0 in range(1, y_max + 1, span):
-            yield np.arange(y0, min(y0 + span, y_max + 1), step, dtype=np.int64), cols
-        return
-    for y0 in range(1, y_max + 1, step):
-        y = np.array([y0], dtype=np.int64)
-        for c0 in range(lo, hi + 1, GRID_CELLS):
-            yield y, np.arange(c0, min(c0 + GRID_CELLS, hi + 1), dtype=np.int64)
+    is split into column chunks, one row a tile, each chunk built on its
+    own, so no temporary grows with the width."""
+    width = min(hi - lo + 1, GRID_CELLS)
+    span = (GRID_CELLS // width) * step  # y range of one tile
+    for y0 in range(1, y_max + 1, span):
+        y = np.arange(y0, min(y0 + span, y_max + 1), step, dtype=np.int64)
+        for c0 in range(lo, hi + 1, width):
+            yield y, np.arange(c0, min(c0 + width, hi + 1), dtype=np.int64)
 
 
 def _concat(xs_o, ys_o, ns_o):
