@@ -1,21 +1,27 @@
 """Hot int64 kernels, written with numpy.
 
-Only machine-word work lives here: trial-division scans and the small-norm
-window/naive scans, all guarded to int64 range by the callers.  Certificate
-arithmetic is arbitrary precision and never enters this module.
+Only machine-word work lives here: the small-norm window and naive scans.
+Each has one int64 range rule and raises ValueError past it; `smallnorm`
+checks the same rule first and scans Python integers past it.  Certificate
+arithmetic, the squarefree trial scan included, is arbitrary precision and
+never enters this module.
 
-`surd_period_i64` and `BACKEND` have no production caller: `contfrac`
-expands every period with its plain Python loop, which is faster.  They
-stay only while the pipeline benchmark (`perfbench/`) binds them.
+`surd_period_i64`, `trial_square_scan_i64` (with its helper `_isqrt64`) and
+`BACKEND` have no production caller: `contfrac` expands every period with
+its plain Python loop, which is faster, and `qarith` runs one trial-division
+engine for every n.  They stay only while the pipeline benchmark
+(`perfbench/`) binds them.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 import numpy as np
 
 BACKEND = "numpy"
 
-# largest value the int64 kernels accept; callers fall back to bignum paths
+# the bound of the small-norm kernels' range rules: within it no int64 overflows
 INT64_SAFE = 1 << 62
 
 # cells in one int64 grid of the small-norm scans (8 MiB a temporary)
@@ -116,8 +122,9 @@ def smallnorm_window_i64(D, y_max, T, pad, parity):
 
     T is the exact integer threshold precomputed by the caller; parity=1
     restricts to odd x, odd y (half-integer elements).  Returns (xs, ys, ns)
-    sorted by (y, x).  The caller keeps (isqrt(D y_max^2) + pad + 1)^2 in
-    int64 range.
+    sorted by (y, x).  Raises ValueError unless
+    (isqrt(D y_max^2) + pad + 1)^2 < INT64_SAFE, which bounds every square,
+    D y^2 and |N| the scan computes; T may be any integer.
 
     The candidates are x = isqrt(D y^2) + off for |off| <= pad, scanned as
     (y, offset) tiles of at most GRID_CELLS cells, so memory grows with
@@ -125,8 +132,8 @@ def smallnorm_window_i64(D, y_max, T, pad, parity):
     on the whole tile and x >= 1, N != 0 and the parity on what passes; gcd
     runs only on the survivors.  Tiles are row-major in (y, off), which is
     (y, x) order, so no sort is needed."""
-    if T >= INT64_SAFE:
-        raise ValueError("threshold exceeds the int64 kernel range")
+    if (isqrt(D * y_max * y_max) + pad + 1) ** 2 >= INT64_SAFE:
+        raise ValueError("(isqrt(D*y_max^2) + pad + 1)^2 exceeds the int64 kernel range")
     xs_o, ys_o, ns_o = [], [], []
     for y, offs in _tiles(y_max, 2 if parity == 1 else 1, -pad, pad):
         t = D * y * y

@@ -10,8 +10,8 @@ Also here: `isqrt` (re-exported from `math`), squarefree testing (exact
 proof or trial division to a bound, capped at MAX_TRIAL_BOUND), and a
 deterministic Miller-Rabin for the range where it is a proof.
 
-Above 2**62 the trial scan reduces products of primes mod n.  The first
-call sieves the primes; the products of the segments up to
+The trial scan, one engine for every n, reduces products of primes mod n.
+The first call sieves the primes; the products of the segments up to
 DEFAULT_TRIAL_BOUND (the last one cut short there) stay in `_SEGMENT_BLOCKS`
 (about 2 MB), so later calls in the process, for any n, only reduce them
 and sieve again just the segments where a gcd finds a prime factor.  A
@@ -30,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from .qd import _sign_pair
 
 
@@ -209,9 +208,6 @@ def parse_elem(text: str, D: Optional[int] = None) -> QuadElem:
         b = int(m.group("b")) if m.group("b") is not None else 1
         if m.group("sgn") == "-":
             b = -b
-        if m.group("a") is None and m.group("sgn") is None and text.lstrip().startswith("-"):
-            # handled by the 'a' group normally; bare "-sqrt(D)" lands here
-            b = -abs(b)
     else:
         if m.group("paren"):
             raise ValueError(f"cannot parse element: {text!r}")
@@ -420,7 +416,7 @@ _PAIR_BLOCK = 64
 
 # The block products of the sieve segments a scan to DEFAULT_TRIAL_BOUND
 # meets, the last one cut short at that bound, keyed by the segment's first
-# odd number.  Bignum scans fill it lazily and later scans reduce it mod n
+# odd number.  Scans fill it lazily and later scans reduce it mod n
 # instead of re-sieving.  The first scan that reuses a segment replaces its
 # blocks by a one-tuple, their product (about 94,000 bits), reduced by the
 # ladder fold from then on, while a one-shot process never pays for building
@@ -499,19 +495,19 @@ def _fold_mod(c: int, n: int, rungs: list) -> int:
 
 
 def _trial_square_scan(n: int, bound: int):
-    """(status, p, cofactor) as in the kernels, any bit length; bound must
-    not exceed MAX_TRIAL_BOUND.
+    """(status, p, cofactor) for n >= 1 of any size; bound must not exceed
+    MAX_TRIAL_BOUND.
 
     status 0: p is the smallest prime <= bound with p*p | n.  status 1: no
-    such prime; the cofactor is 1, a prime, or n with each of its prime
-    factors <= bound divided out once.
+    such prime; the cofactor is n with 2 (when bound >= 2) and every odd
+    prime <= min(bound, isqrt(m)) that divides m, n's odd part, divided out
+    once.  Status and witness are those of plain trial division by every
+    d <= bound.
+
+    Bernstein's batching: reduce the product of each segment's primes mod n;
+    one gcd per segment then yields the product of that segment's primes
+    dividing n, usually 1.
     """
-    if n < _kernels.INT64_SAFE and bound < _kernels.INT64_SAFE:
-        st, p, cof = _kernels.trial_square_scan_i64(n, bound)
-        return int(st), int(p), int(cof)
-    # bignum path (Bernstein's batching): reduce the product of each
-    # segment's primes mod n; one gcd per segment then yields the product of
-    # that segment's primes dividing n, usually 1
     if bound < 2:
         return 1, 0, n
     if n % 2 == 0:

@@ -81,9 +81,7 @@ def enumerate_small_norm(D: int, bound, y_max: int) -> List[SmallNormElement]:
         # window half-width: |x - y sqrt D| < lam*den^2/y <= lam*den^2
         pad = (isqrt((bn2 * dd2 * dd2) // bd2) + 1) + 2
         parity = 1 if den == 2 else 0
-        x_hi = isqrt(D * y_max * y_max) + pad + 1  # largest x the window squares
-        if (D * (y_max + 3) ** 2 * 4 < _kernels.INT64_SAFE and T < _kernels.INT64_SAFE
-                and x_hi * x_hi < _kernels.INT64_SAFE):
+        if (isqrt(D * y_max * y_max) + pad + 1) ** 2 < _kernels.INT64_SAFE:
             xs, ys, ns = _kernels.smallnorm_window_i64(D, y_max, T, pad, parity)
             triples = [(int(x), int(y), int(n)) for x, y, n in zip(xs, ys, ns)]
         else:

@@ -93,12 +93,6 @@ def _sqrt_outer(x: Fraction, extra_bits: int) -> Fraction:
     return Fraction(isqrt((x.numerator * s * s) // x.denominator) + 1, s)
 
 
-def _sqrtD_interval(D: int, prec_bits: int) -> Tuple[Fraction, Fraction]:
-    s = 1 << prec_bits
-    r = isqrt(D * s * s)
-    return Fraction(r, s), Fraction(r + 1, s)
-
-
 def _iv_add(x, y):
     return (x[0] + y[0], x[1] + y[1])
 
@@ -414,14 +408,14 @@ def verify_certificate(obj) -> Verdict:
     for p in obj["pairs"]:
         if p["violators"]:
             return Verdict(False, f"pair ({p['i']},{p['j']}) carries stored violators")
-    glo, ghi = _sqrtD_interval(D, 64)
+    r = _vsqrt_scaled(D, 64)  # r <= 2**64 * sqrt(D) < r + 1
     for p in obj["pairs"]:
         i, j = p["i"], p["j"]
         bx = 4 * (ps[i] * ps[j] + qs[i] * qs[j] * D)
         by = 4 * (ps[i] * qs[j] + ps[j] * qs[i])
         nb = bx * bx - by * by * D  # N(beta) > 0: both witnesses totally positive
-        hi1 = Fraction(bx) + Fraction(by) * ghi
-        lo1 = Fraction(bx) + Fraction(by) * glo
+        hi1 = Fraction((bx << 64) + by * (r + 1), 1 << 64)
+        lo1 = Fraction((bx << 64) + by * r, 1 << 64)
         S1 = _sqrt_outer(hi1, 20)
         S2 = _sqrt_outer(Fraction(nb) / lo1, 20)
         try:

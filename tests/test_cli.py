@@ -4,6 +4,8 @@ import pytest
 
 from quadcert.cli import main
 
+from .test_verify import MALFORMED_EDITS, REJECTED_EDITS
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -75,6 +77,10 @@ def test_represent(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["status"] == "found"
+    code, out = run_cli(capsys, "represent", "5", "--form", "x1^2 + x1 x2 + 3 x2^2",
+                        "--target", "(11+sqrt(5))/2")
+    assert code == 0  # impossible is an answer, not a failure
+    assert out == "impossible (exhausted (11, 3) boxes, 22 nodes)\n"
 
 
 def test_represent_rejects_variable_zero(capsys):
@@ -133,6 +139,11 @@ def test_certify_writes_the_certificate_it_verified(tmp_path, capsys, cert_m1):
     capsys.readouterr()
     assert code == 0
     assert out.read_text(encoding="utf-8") == cert_m1.dumps() + "\n"
+    code, text = run_cli(capsys, "certify", "-M", "1")  # no -o: on stdout
+    assert code == 0
+    conclusion, printed = text.split("\n", 1)
+    assert conclusion == cert_m1.conclusion_text()
+    assert printed == cert_m1.dumps() + "\n"
 
 
 def test_usage_error_exit_code(capsys):
@@ -233,17 +244,25 @@ def test_search_warns_on_parity_failure(capsys):
     assert "parity" in obj["warning"]
 
 
-def test_certify_verify_file_roundtrip_accepted(tmp_path, capsys, cert_m1):
-    cert = tmp_path / "m1.json"
-    cert.write_text(cert_m1.dumps())
-    code, out = run_cli(capsys, "verify", str(cert))
-    assert code == 0 and "ACCEPTED" in out
-
-
 def _verify_exit_code(tmp_path, capsys, obj):
     cert = tmp_path / "bad.json"
     cert.write_text(json.dumps(obj))
     return run_cli(capsys, "verify", str(cert))
+
+
+@pytest.mark.parametrize("mutate, want, word", [
+    pytest.param(None, 0, "ACCEPTED", id="accepted"),
+    *(pytest.param(p.values[0], 1, "REJECTED", id=p.id) for p in REJECTED_EDITS),
+    *(pytest.param(p.values[0], 2, "MALFORMED", id=p.id) for p in MALFORMED_EDITS),
+])
+def test_verify_file_exit_code(tmp_path, capsys, cert_m1, mutate, want, word):
+    """The M = 1 certificate verifies from a file with exit code 0; the
+    verifier tests' one-field edits exit 1 (rejected) or 2 (malformed)."""
+    obj = json.loads(cert_m1.dumps())
+    if mutate is not None:
+        mutate(obj)
+    code, out = _verify_exit_code(tmp_path, capsys, obj)
+    assert code == want and out.startswith(word)
 
 
 @pytest.mark.parametrize("bound,M", [("abc", 1), (10 ** 40, 1), (10 ** 7, -1)])

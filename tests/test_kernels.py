@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadcert import _kernels, smallnorm
-from quadcert.qarith import QuadElem
+from quadcert.qarith import QuadElem, _trial_square_scan
 from quadcert.smallnorm import (
     _naive_scan_py,
     _window_scan_py,
@@ -43,17 +43,20 @@ def test_surd_period_matches_reference():
 
 
 def test_trial_square_scan_examples():
-    cases = [
-        (12, 100, (0, 2)),
-        (10, 100, (1, 0)),
-        (49, 100, (0, 7)),
-        (2 * 3 * 5 * 7 * 11, 100, (1, 0)),
-        (3 ** 3, 100, (0, 3)),
-        (101 * 101 * 7, 1000, (0, 101)),
+    """The benchmark-only kernel and the production engine agree on status
+    and witness; on a clean scan the kernel may stop with a prime <= sqrt(n)
+    left that the engine divides out (2310 leaves 11 against 1)."""
+    cases = [  # n, bound, (status, witness), kernel cofactor, engine cofactor
+        (12, 100, (0, 2), 6, 6),
+        (10, 100, (1, 0), 5, 5),
+        (49, 100, (0, 7), 7, 7),
+        (2 * 3 * 5 * 7 * 11, 100, (1, 0), 11, 1),
+        (3 ** 3, 100, (0, 3), 9, 9),
+        (101 * 101 * 7, 1000, (0, 101), 101, 101),
     ]
-    for n, bound, (status, p) in cases:
-        st, got_p, cof = _kernels.trial_square_scan_i64(n, bound)
-        assert (st, got_p) == (status, p), (n, bound)
+    for n, bound, (status, p), kernel_cof, engine_cof in cases:
+        assert _kernels.trial_square_scan_i64(n, bound) == (status, p, kernel_cof), (n, bound)
+        assert _trial_square_scan(n, bound) == (status, p, engine_cof), (n, bound)
 
 
 def test_smallnorm_window_matches_naive():
@@ -234,19 +237,57 @@ def test_window_pad_past_int64_takes_python_path(monkeypatch):
         raise AssertionError("int64 window kernel called past its range")
 
     calls = []
+    kernel = _kernels.smallnorm_window_i64
     monkeypatch.setattr(_kernels, "smallnorm_window_i64", no_kernel)
     monkeypatch.setattr(smallnorm, "_window_scan_py", lambda *args: calls.append(args) or [])
     assert enumerate_small_norm(2, Fraction(1 << 32), 1) == []  # pad about 2^32
     ((D, y_max, T, pad, parity),) = calls
-    assert T < _kernels.INT64_SAFE and D * (y_max + 3) ** 2 * 4 < _kernels.INT64_SAFE
+    assert T < _kernels.INT64_SAFE
     assert (isqrt(D) + pad) ** 2 >= 1 << 63  # (x0 + pad)^2 would overflow int64
+    with pytest.raises(ValueError):  # called directly, the kernel refuses too
+        kernel(D, y_max, T, pad, parity)
+
+
+@pytest.mark.parametrize("y_max, pad", [(1, 0), (2, 5), (7, 64)])
+def test_window_kernel_range_edge(y_max, pad):
+    """The kernel runs while (isqrt(D y_max^2) + pad + 1)^2 < INT64_SAFE,
+    whatever T, and raises ValueError from the first D past it."""
+    x = isqrt(_kernels.INT64_SAFE - 1) - pad - 1  # largest isqrt(D y_max^2) inside
+    D = ((x + 1) ** 2 - 1) // y_max ** 2  # the largest D with isqrt(D y_max^2) <= x
+    for T in (0, isqrt(16 * D), _kernels.INT64_SAFE, 1 << 70):  # T >= 2^62 keeps all
+        assert _triples(*_kernels.smallnorm_window_i64(D, y_max, T, pad, 0)) \
+            == _window_scan_py(D, y_max, T, pad, 0)
+    with pytest.raises(ValueError):
+        _kernels.smallnorm_window_i64(D + 1, y_max, 0, pad, 0)
+
+
+@st.composite
+def _near_range_windows(draw):
+    """(D, y_max, pad) with 2^60 <= D y_max^2 and x_hi^2 < 2^62, x_hi being
+    isqrt(D y_max^2) + pad + 1: within a factor 4 of the kernel's limit."""
+    y_max = draw(st.integers(1, 40))
+    pad = draw(st.integers(0, 64))
+    x_top = isqrt(_kernels.INT64_SAFE - 1) - pad - 1
+    D = draw(st.integers(-(-(1 << 60) // y_max ** 2), ((x_top + 1) ** 2 - 1) // y_max ** 2))
+    return D, y_max, pad
+
+
+@given(window=_near_range_windows(), parity=st.sampled_from([0, 1]), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_window_kernel_matches_python_scan_near_int64_range(window, parity, data):
+    D, y_max, pad = window
+    T = data.draw(st.one_of(st.integers(0, isqrt(16 * D)), st.just(1 << 62)))
+    assert _triples(*_kernels.smallnorm_window_i64(D, y_max, T, pad, parity)) \
+        == _window_scan_py(D, y_max, T, pad, parity)
 
 
 def test_enumerate_small_norm_above_int64_guard():
-    m = (1 << 29) + 2
+    m = (1 << 30) + 2
     D = m * m + 1  # ≡ 1 (mod 4), so both den = 1 and den = 2 run
-    y_max, bound = 2, Fraction(1, 1 << 20)  # |N| < 2^-20 sqrt(D), about 512
-    assert D * (y_max + 3) ** 2 * 4 >= _kernels.INT64_SAFE
+    y_max, bound = 2, Fraction(1, 1 << 20)  # |N| < 2^-20 sqrt(D), about 1024
+    # past both kernels' ranges: the window and the naive scan run in Python
+    assert isqrt(D * y_max * y_max) ** 2 >= _kernels.INT64_SAFE
+    assert D * y_max * y_max >= _kernels.INT64_SAFE
     got = enumerate_small_norm(D, bound, y_max)
     assert (QuadElem(D, m, 1), -1) in [(e.mu, e.norm) for e in got]
     assert got == naive_enumerate(D, bound, y_max)

@@ -367,7 +367,7 @@ def test_generation_and_verifier_enumerations_agree():
 
     from quadcert.contfrac import alpha, expand_sqrt
     from quadcert.certify import pair_refute
-    from quadcert.verify import _sqrtD_interval, _v_violators
+    from quadcert.verify import _v_violators, _vsqrt_scaled
 
     rng = random.Random(424242)
     for D in (13, 5, 61, 94, 393):
@@ -378,9 +378,9 @@ def test_generation_and_verifier_enumerations_agree():
             a, b = alpha(e, i), alpha(e, j)
             pc = pair_refute(D, a, b, i=i, j=j)
             beta = 4 * a * b
-            glo, ghi = _sqrtD_interval(D, 64)
-            hi1 = Fraction(beta.a) + Fraction(beta.b) * ghi
-            lo1 = Fraction(beta.a) + Fraction(beta.b) * glo
+            r = _vsqrt_scaled(D, 64)  # r <= 2**64 * sqrt(D) < r + 1
+            hi1 = Fraction((beta.a << 64) + beta.b * (r + 1), 1 << 64)
+            lo1 = Fraction((beta.a << 64) + beta.b * r, 1 << 64)
             S1 = frac_sqrt_outer(hi1, 20)
             S2 = frac_sqrt_outer(Fraction(beta.norm()) / lo1, 20)
             got = set()

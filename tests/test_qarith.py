@@ -106,6 +106,16 @@ def test_squarefree_exact_large():
     p = 1000003
     st = squarefree_status(p * p * 7, mode="exact", bound=10)
     assert st.verdict == "not-squarefree" and st.witness == p
+    # a cofactor past bound^3 that rho splits into 101 and 101 * 103: the
+    # gcd of the halves is the witness
+    st = squarefree_status(101 ** 2 * 103, mode="exact", bound=100)
+    assert st.verdict == "not-squarefree" and st.witness == 101
+    # a perfect square whose root is composite with both primes past the
+    # small-factor trial loop: rho splits the root
+    n = (100003 * 100019) ** 2
+    st = squarefree_status(n, mode="exact", bound=100)
+    assert st.verdict == "not-squarefree" and st.witness in (100003, 100019)
+    assert n % st.witness ** 2 == 0
 
 
 def test_squarefree_probable_catches_small_square():
@@ -142,7 +152,7 @@ def test_squarefree_bignum_branch_agrees_with_sieve():
 
 
 def _reference_trial_scan(n: int, bound: int):
-    """The bignum scan's former loop, kept as the oracle: one division per
+    """The trial scan's former loop, kept as the oracle: one division per
     odd d <= bound, stopping early once d*d exceeds what is left of n."""
     d = 2
     while d <= bound and d * d <= n:
@@ -152,6 +162,20 @@ def _reference_trial_scan(n: int, bound: int):
                 return 0, d, n
         d += 1 if d == 2 else 2
     return 1, 0, n
+
+
+def _contract_cofactor(n: int, bound: int) -> int:
+    """The cofactor `_trial_square_scan` promises on a clean scan of n: 2
+    (when bound >= 2) and every odd prime <= min(bound, isqrt(m)) dividing
+    m, n's odd part, divided out once.  The loop on m to that limit leaves
+    what it never reached, or a prime once it stops early on d*d > what is
+    left; that prime lies at or below the limit exactly when it is one."""
+    if bound < 2:
+        return n
+    m = n // 2 if n % 2 == 0 else n
+    limit = min(bound, isqrt(m))
+    left = _reference_trial_scan(m, limit)[2]
+    return 1 if left <= limit else left
 
 
 def _prev_prime(x: int) -> int:
@@ -201,7 +225,7 @@ _TABLE_STATES = {"empty": dict, "blocks": _full_table, "promoted": _promoted_tab
 
 
 @given(
-    cofactor=st.integers(min_value=2 ** 62, max_value=2 ** 300),
+    cofactor=st.one_of(st.integers(1, 2 ** 62), st.integers(2 ** 62, 2 ** 300)),
     bound=st.one_of(st.integers(-1, 2), st.integers(3, 3 * _SEGMENT_EDGE)),
     plant=st.sampled_from(["none", "3", "edge", "largest<=bound", "smallest>bound"]),
     edge=st.sampled_from(_EDGE_PRIMES),
@@ -212,8 +236,14 @@ _TABLE_STATES = {"empty": dict, "blocks": _full_table, "promoted": _promoted_tab
 @example(cofactor=_P62, bound=3 * _SEGMENT_EDGE, plant="edge", edge=_EDGE_PRIMES[1],
          hits=[_EDGE_PRIMES[0]])
 @example(cofactor=_P62, bound=_EDGE_PRIMES[1], plant="largest<=bound", edge=3, hits=[])
+@example(cofactor=1, bound=100, plant="none", edge=3, hits=[3, 5, 7, 11])  # 1155: 11 <= 33
+@example(cofactor=2, bound=3, plant="none", edge=3, hits=[5])  # 10: nothing odd <= isqrt(5)
+@example(cofactor=5, bound=100, plant="none", edge=3, hits=[3])  # 15: 3 = isqrt(15) goes
 @settings(max_examples=150, deadline=None)
 def test_bignum_scan_matches_reference_loop(cofactor, bound, plant, edge, hits):
+    """Any n, below 2**62 or above: status and witness of the reference
+    loop, and on a clean scan the cofactor of the engine's contract, from
+    every table state."""
     p = {"none": 1, "3": 3, "edge": edge,
          "largest<=bound": _prev_prime(bound) if bound >= 2 else 1,
          "smallest>bound": _next_prime(max(bound + 1, 2))}[plant]
@@ -229,10 +259,8 @@ def test_bignum_scan_matches_reference_loop(cofactor, bound, plant, edge, hits):
         got.append(_trial_square_scan(n, bound))
     for st_new, w_new, cof_new in got:
         assert (st_new, w_new) == (st_ref, w_ref)
-        if st_new == 1 and cof_new != cof_ref:
-            # only where the loop stopped early on d*d > n: what it left is a
-            # prime that the scan went on to divide out
-            assert cof_new == 1 and is_prime_proved(cof_ref)
+        if st_new == 1:
+            assert cof_new == _contract_cofactor(n, bound)
         if plant != "none" and 2 <= p <= bound:
             assert st_new == 0 and w_new <= p
     assert got[0] == got[1] == got[2]
@@ -460,6 +488,11 @@ def test_parse_variants():
     assert parse_elem("-3+2*sqrt(7)") == QuadElem(7, -3, 2)
     assert parse_elem("(3+1*sqrt(13))/2") == QuadElem(13, 3, 1, 2)
     assert parse_elem("4", D=7) == QuadElem(7, 4, 0)
+    # a minus before sqrt is always the sign group's
+    assert parse_elem("-sqrt(5)") == QuadElem(5, 0, -1)
+    assert parse_elem("-2*sqrt(5)") == QuadElem(5, 0, -2)
+    assert parse_elem("3-sqrt(5)") == QuadElem(5, 3, -1)
+    assert parse_elem("(-1-sqrt(5))/2") == QuadElem(5, -1, -1, 2)
     with pytest.raises(ValueError):
         parse_elem("nonsense")
     with pytest.raises(ValueError):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadcert import verify
+from quadcert import _kernels, qarith, verify
+from quadcert.certify import build_certificate
 from quadcert.latbox import box_enumerate, omega_basis
 from quadcert.qd import QD
 from quadcert.verify import MalformedCertificate, Verdict, verify_certificate
@@ -36,6 +37,33 @@ def test_verifier_imports_only_the_squarefree_classifier():
     assert sorted(internal) == [("qarith", "MAX_TRIAL_BOUND"),
                                 ("qarith", "SquarefreeUndetermined"),
                                 ("qarith", "squarefree_status")]
+
+
+def test_squarefree_classifier_has_one_engine():
+    """qarith imports nothing from the int64 kernels and names neither them
+    nor their int64 limit, so its trial scan has no size branch."""
+    tree = ast.parse(Path(qarith.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert "_kernels" not in (node.module or "")
+            assert all(a.name != "_kernels" for a in node.names)
+        assert not (isinstance(node, ast.Name) and node.id in ("_kernels", "INT64_SAFE"))
+
+
+def test_verifier_runs_without_the_int64_kernels(cert_m1, cert_refuted_13, monkeypatch):
+    """With every kernel function raising, the M = 1 and a small-field
+    certificate still verify and the D = 13 control is still rejected."""
+    small = build_certificate(1, force_D=94, indices=[5, 7])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verifier called an int64 kernel")
+
+    for name, value in vars(_kernels).items():
+        if callable(value) and getattr(value, "__module__", None) == _kernels.__name__:
+            monkeypatch.setattr(_kernels, name, refuse)
+    assert verify_certificate(cert_m1.to_json()).accepted
+    assert verify_certificate(small.dumps()).accepted
+    assert not verify_certificate(cert_refuted_13.to_json()).accepted
 
 
 def test_accepts_m1(cert_m1):
@@ -67,14 +95,6 @@ def test_rejects_witness_perturbation(cert_m1):
 def test_rejects_tampered_D(cert_m1):
     obj = copy.deepcopy(cert_m1.to_json())
     obj["D"] = str(int(obj["D"]) + 1)
-    assert not verify_certificate(obj).accepted
-
-
-def test_rejects_nonsquarefree_D_substitution(cert_m1):
-    obj = copy.deepcopy(cert_m1.to_json())
-    # 8 has the right shape of fields but is not squarefree (and wrong period)
-    obj["D"] = "8"
-    obj["k"] = "2"
     assert not verify_certificate(obj).accepted
 
 
@@ -179,6 +199,47 @@ def _set(path, value):
     return mutate
 
 
+def _edit(**fields):
+    """Set several top-level fields at once."""
+    def mutate(obj):
+        obj.update(fields)
+    return mutate
+
+
+def _zero_sequence_ends(obj):
+    obj["sequence"][0] = obj["sequence"][-1] = "0"  # still symmetric
+
+
+def _exact_probable_conditional(obj):
+    obj["squarefree"].update(mode="exact", verdict="probably-squarefree")
+    obj["conclusion"]["soundness"] = "conditional"
+
+
+def _witnesses_as_object(obj):
+    obj["witnesses"] = {str(t): w for t, w in enumerate(obj["witnesses"])}
+
+
+# one-field edits of the M = 1 certificate the verifier rejects, with the
+# reason it gives; the CLI tests run them too, for exit code 1
+REJECTED_EDITS = [
+    # 8 has the right shape of fields but is not squarefree (and wrong period)
+    pytest.param(_edit(D="8", k="2"), "does not match the stated period", id="D-8"),
+    pytest.param(_edit(D="100", k="10"), "perfect square", id="D-square"),
+    pytest.param(_zero_sequence_ends, "sequence entries must be positive", id="sequence-ends-0"),
+    # exact mode re-proves the M = 1 D squarefree, which no probable verdict matches
+    pytest.param(_exact_probable_conditional, "squarefree verdict mismatch",
+                 id="exact-probable-conditional"),
+]
+
+
+@pytest.mark.parametrize("mutate, reason", REJECTED_EDITS)
+def test_rejects_one_field_edit(cert_m1, mutate, reason):
+    obj = copy.deepcopy(cert_m1.to_json())
+    mutate(obj)
+    v = verify_certificate(obj)
+    assert not v.accepted and reason in v.reason, v.reason
+
+
 def _drop_bound(obj):
     del obj["squarefree"]["bound"]
 
@@ -192,6 +253,14 @@ def _negative_rank(obj):
     obj["witnesses"] = []
     obj["pairs"] = []
     obj["conclusion"]["excluded_rank_le"] = -1
+
+
+# malformed edits the CLI tests also run, for exit code 2
+MALFORMED_EDITS = [
+    pytest.param(_set(("D",), "0"), id="D-zero"),
+    pytest.param(_set(("k",), "0"), id="k-zero"),
+    pytest.param(_witnesses_as_object, id="witnesses-object"),
+]
 
 
 @pytest.mark.parametrize("mutate", [
@@ -212,10 +281,12 @@ def _negative_rank(obj):
     _set(("pairs", 0, "candidates"), True),
     _set(("pairs", 0, "candidates"), -1),
     _set(("version",), True),
-], ids=["bound-str", "bound-bool", "bound-huge", "bound-1", "bound-missing",
-        "M-bool", "M-zero", "M-negative", "witness-i-bool", "pair-i-bool",
-        "pair-j-bool", "rank-bool", "candidates-missing", "candidates-str",
-        "candidates-bool", "candidates-negative", "version-bool"])
+] + MALFORMED_EDITS, ids=[
+    "bound-str", "bound-bool", "bound-huge", "bound-1", "bound-missing",
+    "M-bool", "M-zero", "M-negative", "witness-i-bool", "pair-i-bool",
+    "pair-j-bool", "rank-bool", "candidates-missing", "candidates-str",
+    "candidates-bool", "candidates-negative", "version-bool",
+] + [p.id for p in MALFORMED_EDITS])
 def test_malformed_integer_fields(cert_m1, mutate):
     obj = copy.deepcopy(cert_m1.to_json())
     mutate(obj)
