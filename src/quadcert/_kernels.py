@@ -6,6 +6,10 @@ checks the same rule first and scans Python integers past it.  Certificate
 arithmetic, the squarefree trial scan included, is arbitrary precision and
 never enters this module.
 
+This is the one module that imports numpy at its top.  `smallnorm` imports
+it when a scan first runs, not with the package, so numpy and the residue
+tables below are loaded then.
+
 `surd_period_i64`, `trial_square_scan_i64` (with its helper `_isqrt64`) and
 `BACKEND` have no production caller: `contfrac` expands every period with
 its plain Python loop, which is faster, and `qarith` runs one trial-division
@@ -91,8 +95,9 @@ def _squares_mod(m):
     return np.array([r in squares for r in range(m)])
 
 
-# quadratic-residue tables of the naive scan's sieve: a perfect square is a
-# square modulo every m, so a cell whose s misses one of them is no square
+# quadratic-residue tables of the naive scan's sieve, built when this module
+# is first imported: a perfect square is a square modulo every m, so a cell
+# whose s misses one of them is no square
 _SQ64, _SQ63, _SQ65, _SQ11 = (_squares_mod(m) for m in (64, 63, 65, 11))
 
 

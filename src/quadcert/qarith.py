@@ -18,7 +18,9 @@ and sieve again just the segments where a gcd finds a prime factor.  A
 segment's blocks become one product the first time a scan reuses it, and a
 stored product is reduced by a short ladder of products with 2**m mod n
 (`_fold_ladder`, `_fold_mod`) instead of a long division.  The table depends
-on the primes alone.
+on the primes alone.  The sieve helpers, the only code here that runs on
+numpy, import it when first called: the first scan loads it, to sieve its
+base primes, and a process that never scans does not.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ import re
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from typing import Optional
-
-import numpy as np
 
 from .qd import _sign_pair
 
@@ -428,6 +428,8 @@ _SEGMENT_BLOCKS: dict = {}
 
 def _odd_primes_upto(r: int) -> list:
     """Odd primes <= r by a plain sieve: the segmented sieve's base table."""
+    import numpy as np
+
     flags = np.ones(r + 1, dtype=bool)
     flags[:3] = False
     flags[4::2] = False
@@ -437,9 +439,12 @@ def _odd_primes_upto(r: int) -> list:
     return np.flatnonzero(flags).tolist()
 
 
-def _sieve_segment(lo: int, size: int, base: list) -> np.ndarray:
-    """The odd primes among the `size` odd numbers from odd lo, in order;
-    base holds the odd primes up to the square root of the last of them."""
+def _sieve_segment(lo: int, size: int, base: list):
+    """The odd primes among the `size` odd numbers from odd lo, in order, as
+    an int64 array; base holds the odd primes up to the square root of the
+    last of them."""
+    import numpy as np
+
     hi = lo + 2 * size  # flags[i] stands for the odd number lo + 2*i < hi
     flags = np.ones(size, dtype=bool)
     for p in base:
@@ -451,8 +456,10 @@ def _sieve_segment(lo: int, size: int, base: list) -> np.ndarray:
     return np.flatnonzero(flags) * 2 + lo
 
 
-def _block_products(primes: np.ndarray) -> tuple:
+def _block_products(primes) -> tuple:
     """Products of consecutive runs of 2*_PAIR_BLOCK primes, in order."""
+    import numpy as np
+
     if len(primes) % 2:
         primes = np.append(primes, 1)
     pairs = (primes[0::2] * primes[1::2]).tolist()
@@ -495,21 +502,18 @@ def _fold_mod(c: int, n: int, rungs: list) -> int:
 
 
 def _trial_square_scan(n: int, bound: int):
-    """(status, p, cofactor) for n >= 1 of any size; bound must not exceed
-    MAX_TRIAL_BOUND.
+    """(status, p, cofactor) for n >= 1 of any size and bound in
+    [2, MAX_TRIAL_BOUND].
 
     status 0: p is the smallest prime <= bound with p*p | n.  status 1: no
-    such prime; the cofactor is n with 2 (when bound >= 2) and every odd
-    prime <= min(bound, isqrt(m)) that divides m, n's odd part, divided out
-    once.  Status and witness are those of plain trial division by every
-    d <= bound.
+    such prime; the cofactor is n with 2 and every odd prime
+    <= min(bound, isqrt(m)) that divides m, n's odd part, divided out once.
+    Status and witness are those of plain trial division by every d <= bound.
 
     Bernstein's batching: reduce the product of each segment's primes mod n;
     one gcd per segment then yields the product of that segment's primes
     dividing n, usually 1.
     """
-    if bound < 2:
-        return 1, 0, n
     if n % 2 == 0:
         n //= 2
         if n % 2 == 0:

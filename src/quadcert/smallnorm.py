@@ -5,6 +5,9 @@ are enumerated canonically (x > 0, y > 0, content 1; den = 2 allowed only
 for D ≡ 1 mod 4 with x, y odd).  Up to sign and conjugation every small-norm
 element has such a representative, so the audit against the convergent
 elements alpha_i needs only positive multipliers.
+
+The two scans run on the int64 kernels of `_kernels`, which they import when
+first called: importing this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Tuple
 
-from . import _kernels
 from .contfrac import SurdExpansion, alpha as _alpha, convergent_iter, expand_sqrt
 from .qarith import (
     QuadElem,
@@ -71,6 +73,8 @@ def enumerate_small_norm(D: int, bound, y_max: int) -> List[SmallNormElement]:
         raise ValueError("D must be a nonsquare integer >= 2")
     if y_max < 1:
         raise ValueError("y_max must be >= 1")
+    from . import _kernels
+
     bn2, bd2 = _norm_bound_parts(bound)
     out = []
     for den in (1, 2) if D % 4 == 1 else (1,):
@@ -118,6 +122,8 @@ def naive_enumerate(D: int, bound, y_max: int) -> List[SmallNormElement]:
     shortcut.  Kept deliberately independent of enumerate_small_norm so
     the two can audit each other.
     """
+    from . import _kernels
+
     bn2, bd2 = _norm_bound_parts(bound)
     out = []
     for den in (1, 2) if D % 4 == 1 else (1,):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quadcert
 from quadcert.cli import main
 
 from .test_verify import MALFORMED_EDITS, REJECTED_EDITS
@@ -305,3 +310,50 @@ def test_verify_unreadable_path_exit_code(tmp_path, capsys, kind):
     obj = json.loads(capsys.readouterr().out)
     assert code == 2 and obj["verdict"] == "malformed"
     assert obj["reason"].startswith("cannot read certificate")
+
+
+# Each expression runs in a fresh interpreter, which reports what it returned
+# and whether numpy was loaded; `bad` is a file holding {"nope": 1}.
+_FRESH_CALL = ("import json, sys\n"
+               "import quadcert\n"
+               "def main(argv):\n"
+               "    from quadcert.cli import main\n"
+               "    return main(argv)\n"
+               "bad = sys.argv[1]\n"
+               "result = {expr}\n"
+               "print(json.dumps([repr(result), 'numpy' in sys.modules]))\n")
+
+
+@pytest.mark.parametrize("expr, want, loads_numpy", [
+    pytest.param("quadcert.__version__", None, False, id="import"),
+    pytest.param("main(['cf', '94'])", 0, False, id="cf"),
+    pytest.param("main(['tp-list', '5', '--trace', '10'])", 0, False, id="tp-list"),
+    pytest.param("main(['represent', '5', '--form', 'x1^2 + x1 x2 + 3 x2^2',"
+                 " '--target', '(11+sqrt(5))/2'])", 0, False, id="represent"),
+    pytest.param("main(['construct', '-M', '2'])", 0, False, id="construct"),
+    pytest.param("main(['power-trace', '94', '1', '2'])", 0, False, id="power-trace"),
+    pytest.param("main(['friesen-check', '1,2,1'])", 0, False, id="friesen-check"),
+    pytest.param("main(['verify', bad])", 2, False, id="verify-malformed"),
+    pytest.param("quadcert.squarefree_status(10**30 + 57, mode='probable')", None, True,
+                 id="squarefree"),
+    pytest.param("quadcert.enumerate_small_norm(13, 'half', 20)", None, True,
+                 id="smallnorm"),
+])
+def test_numpy_loads_only_where_it_runs(tmp_path, capsys, expr, want, loads_numpy):
+    """numpy serves only the prime sieve and the small-norm kernels, so a
+    fresh process loads it at the first of those and never before; what a
+    call returns, and a CLI run prints, is what it gives in this process."""
+    bad = tmp_path / "nope.json"
+    bad.write_text('{"nope": 1}')
+    src = str(Path(quadcert.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", _FRESH_CALL.format(expr=expr), str(bad)],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    *printed, last = out.splitlines()
+    got, numpy_loaded = json.loads(last)
+    assert numpy_loaded is loads_numpy
+    result = eval(expr, {"quadcert": quadcert, "main": main, "bad": str(bad)})
+    assert got == repr(result)
+    assert printed == capsys.readouterr().out.splitlines()
+    if want is not None:
+        assert result == want

@@ -166,12 +166,10 @@ def _reference_trial_scan(n: int, bound: int):
 
 def _contract_cofactor(n: int, bound: int) -> int:
     """The cofactor `_trial_square_scan` promises on a clean scan of n: 2
-    (when bound >= 2) and every odd prime <= min(bound, isqrt(m)) dividing
-    m, n's odd part, divided out once.  The loop on m to that limit leaves
-    what it never reached, or a prime once it stops early on d*d > what is
-    left; that prime lies at or below the limit exactly when it is one."""
-    if bound < 2:
-        return n
+    and every odd prime <= min(bound, isqrt(m)) dividing m, n's odd part,
+    divided out once.  The loop on m to that limit leaves what it never
+    reached, or a prime once it stops early on d*d > what is left; that
+    prime lies at or below the limit exactly when it is one."""
     m = n // 2 if n % 2 == 0 else n
     limit = min(bound, isqrt(m))
     left = _reference_trial_scan(m, limit)[2]
@@ -226,7 +224,7 @@ _TABLE_STATES = {"empty": dict, "blocks": _full_table, "promoted": _promoted_tab
 
 @given(
     cofactor=st.one_of(st.integers(1, 2 ** 62), st.integers(2 ** 62, 2 ** 300)),
-    bound=st.one_of(st.integers(-1, 2), st.integers(3, 3 * _SEGMENT_EDGE)),
+    bound=st.one_of(st.just(2), st.integers(3, 3 * _SEGMENT_EDGE)),
     plant=st.sampled_from(["none", "3", "edge", "largest<=bound", "smallest>bound"]),
     edge=st.sampled_from(_EDGE_PRIMES),
     hits=st.lists(st.sampled_from(_ODD_PRIMES[:40] + _EDGE_PRIMES), unique=True, max_size=3),
@@ -241,12 +239,13 @@ _TABLE_STATES = {"empty": dict, "blocks": _full_table, "promoted": _promoted_tab
 @example(cofactor=5, bound=100, plant="none", edge=3, hits=[3])  # 15: 3 = isqrt(15) goes
 @settings(max_examples=150, deadline=None)
 def test_bignum_scan_matches_reference_loop(cofactor, bound, plant, edge, hits):
-    """Any n, below 2**62 or above: status and witness of the reference
-    loop, and on a clean scan the cofactor of the engine's contract, from
-    every table state."""
+    """Any n, below 2**62 or above, and any bound from 2, the least that
+    `check_trial_bound` admits: status and witness of the reference loop,
+    and on a clean scan the cofactor of the engine's contract, from every
+    table state."""
     p = {"none": 1, "3": 3, "edge": edge,
-         "largest<=bound": _prev_prime(bound) if bound >= 2 else 1,
-         "smallest>bound": _next_prime(max(bound + 1, 2))}[plant]
+         "largest<=bound": _prev_prime(bound),
+         "smallest>bound": _next_prime(bound + 1)}[plant]
     n = cofactor * p * p
     for q in hits:  # prime factors the scan must divide out once and step past
         n *= q
@@ -261,7 +260,7 @@ def test_bignum_scan_matches_reference_loop(cofactor, bound, plant, edge, hits):
         assert (st_new, w_new) == (st_ref, w_ref)
         if st_new == 1:
             assert cof_new == _contract_cofactor(n, bound)
-        if plant != "none" and 2 <= p <= bound:
+        if plant != "none" and p <= bound:
             assert st_new == 0 and w_new <= p
     assert got[0] == got[1] == got[2]
 
