@@ -38,6 +38,7 @@ from .qarith import (
     parse_elem,
     squarefree_status,
     succeq,
+    to_decimal,
 )
 from .qd import QD, frac_sqrt_outer, sqrt_in_field
 
@@ -163,23 +164,24 @@ class Certificate:
     soundness: str  # 'proved' | 'conditional' | 'refuted'
 
     def conclusion_text(self) -> str:
+        D = to_decimal(self.D)
         if self.soundness == "refuted":
-            return (f"REFUTED: the chosen witnesses over Q(sqrt({self.D})) admit "
+            return (f"REFUTED: the chosen witnesses over Q(sqrt({D})) admit "
                     f"nonzero c with 4*a_i*a_j ⪰ c^2")
         cond = "" if self.soundness == "proved" else " (conditional on D being squarefree)"
-        return (f"Q(sqrt({self.D})) admits no universal totally positive quadratic "
+        return (f"Q(sqrt({D})) admits no universal totally positive quadratic "
                 f"form or O_K-lattice of rank <= {self.excluded_rank_le}{cond}")
 
     def to_json(self) -> dict:
         return {
             "version": self.version,
-            "sequence": [str(u) for u in self.seq.values],
-            "k": str(self.k),
-            "D": str(self.D),
+            "sequence": [to_decimal(u) for u in self.seq.values],
+            "k": to_decimal(self.k),
+            "D": to_decimal(self.D),
             "squarefree": self.squarefree.to_json(),
             "M": self.M,
             "witnesses": [
-                {"i": i, "p": str(w.a), "q": str(w.b)}
+                {"i": i, "p": to_decimal(w.a), "q": to_decimal(w.b)}
                 for i, w in zip(self.witness_set.indices, self.witness_set.witnesses)
             ],
             "pairs": [
@@ -309,17 +311,15 @@ class QuadraticForm:
 
     def gram(self) -> List[List[QD]]:
         """Exact Gram matrix over Q(sqrt(D)); off-diagonal entries are halved."""
-        B = [[QD(self.D, 0) for _ in range(self.n)] for _ in range(self.n)]
+        D = self.D
+        B = [[QD(D, 0) for _ in range(self.n)] for _ in range(self.n)]
         for i in range(1, self.n + 1):
             for j in range(i, self.n + 1):
                 c = self.coeff(i, j)
-                v = _elem_to_qd(c)
                 if i == j:
-                    B[i - 1][i - 1] = v
+                    B[i - 1][i - 1] = QD(D, c.a, c.b, c.den)
                 else:
-                    half = v * Fraction(1, 2)
-                    B[i - 1][j - 1] = half
-                    B[j - 1][i - 1] = half
+                    B[i - 1][j - 1] = B[j - 1][i - 1] = QD(D, c.a, c.b, 2 * c.den)
         return B
 
     def evaluate(self, v: Sequence[QuadElem]) -> QuadElem:
@@ -404,12 +404,10 @@ def _elem_to_qd(x: QuadElem) -> QD:
 
 def _qd_to_elem(x: QD) -> Optional[QuadElem]:
     """QD -> O_K element, or None when not an algebraic integer."""
-    D = x.D
-    if x.q == 1:
-        return QuadElem(D, x.a, x.b, 1)
-    if x.q == 2 and D % 4 == 1 and (x.a - x.b) % 2 == 0:
-        return QuadElem(D, x.a, x.b, 2)
-    return None
+    try:
+        return QuadElem(x.D, x.a, x.b, x.q)
+    except ValueError:  # QuadElem's own integrality rule refuses x
+        return None
 
 
 def totally_positive_up_to(D: int, trace_bound: int) -> List[QuadElem]:
@@ -482,9 +480,9 @@ def decide_represent(form: QuadraticForm, target: QuadElem) -> RepresentResult:
 
     nodes = 0
 
-    def dfs(t: int, head: List[QuadElem], head_qd: List[QD], P: QD):
+    def dfs(t: int, head: List[Tuple[QuadElem, QD]], P: QD):
         nonlocal nodes
-        l = sum((U[j][t] * head_qd[j] for j in range(t)), QD(D, 0))
+        l = sum((U[j][t] * head[j][1] for j in range(t)), QD(D, 0))
         if t == n - 1:
             nodes += 1
             # 4 d (target - P) is the discriminant of Q(head, x) = target in x;
@@ -495,23 +493,23 @@ def decide_represent(form: QuadraticForm, target: QuadElem) -> RepresentResult:
             for rt in (root, -root):
                 el = _qd_to_elem(rt / (d[t] * 2) - l)
                 if el is not None:
-                    vec = tuple(head + [el])
+                    vec = tuple(c for c, _ in head) + (el,)
                     assert form.evaluate(vec) == target
                     return vec
             return None
-        for cand, cq in candidates[t]:
+        for cand in candidates[t]:
             nodes += 1
-            z = cq + l
+            z = cand[1] + l
             Pc = P + d[t] * z * z
             rem = tgt - Pc
             if rem.sign() < 0 or rem.conj().sign() < 0:
                 continue
-            got = dfs(t + 1, head + [cand], head_qd + [cq], Pc)
+            got = dfs(t + 1, head + [cand], Pc)
             if got is not None:
                 return got
         return None
 
-    vec = dfs(0, [], [], QD(D, 0))
+    vec = dfs(0, [], QD(D, 0))
     counts = tuple(len(c) for c in candidates)
     if vec is not None:
         return RepresentResult("found", vec, counts, nodes)

@@ -20,7 +20,6 @@ are totally positive exactly for odd i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 from typing import Iterator, List, Optional
 
 from .qarith import QuadElem, is_square, isqrt
@@ -28,7 +27,8 @@ from .qd import _sign_pair
 
 
 class PeriodCapExceeded(Exception):
-    """Expansion exceeded the caller-imposed step cap (used by the verifier)."""
+    """Expansion exceeded the caller-imposed step cap (set by `derive_D`'s
+    round trip and by `build_certificate`)."""
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class SurdExpansion:
 
     @property
     def r(self) -> int:
-        return ceil((self.s - 1) / 2)
+        return self.s // 2  # ceil((s - 1)/2) for s >= 1
 
     def u(self, j: int) -> int:
         """Partial quotient u_j of the infinite expansion, any j >= 0."""
@@ -74,8 +74,8 @@ def expand_sqrt(D: int, max_steps: Optional[int] = None) -> SurdExpansion:
     """Minimal-period continued fraction of sqrt(D) for nonsquare D >= 2.
 
     max_steps aborts with PeriodCapExceeded once the period provably exceeds
-    it; the certificate verifier uses this to stay O(stored period) even on
-    tampered inputs.
+    it; `derive_D` and `build_certificate` cap a derived D's expansion at the
+    intended period this way.  The verifier has its own `_v_expand`.
     """
     if D < 2:
         raise ValueError("D must be >= 2")

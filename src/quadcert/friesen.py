@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import ceil, gcd
+from math import gcd
 from typing import List, Optional, Tuple
 
 from .contfrac import PeriodCapExceeded, expand_sqrt
@@ -54,7 +54,7 @@ class SymSequence:
 
     @property
     def r(self) -> int:
-        return ceil((self.s - 1) / 2)
+        return self.s // 2  # ceil((s - 1)/2) for s >= 1
 
     @classmethod
     def parse(cls, text: str) -> "SymSequence":
@@ -237,7 +237,7 @@ def construct_sequence(M: int, base: str = "minimal") -> SymSequence:
         s = 2 * r_min + (2 - 2 * r_min) % 3
     else:
         s = 2 * r_min  # central element once
-    r = ceil((s - 1) / 2)
+    r = s // 2
     if base == "minimal":
         core = [2]
         for _ in range(r - 1):

@@ -15,9 +15,10 @@ bound is an outer bound, so completeness does not depend on how good the
 reduction is.  The certificate pair boxes are astronomically skewed
 (y-ranges ~2^67 with sub-unit widths); this engine visits O(1) candidates.
 
-`box_enumerate_scan` walks y and intersects the two x-intervals with exact
-floors.  It is independent of the reduction and serves as the tests'
-cross-check on boxes with a small y-range; production never calls it.
+`box_enumerate_scan` walks y and intersects the two x-intervals, each bound
+one `_floor_pair` on integers.  It is independent of the reduction and
+serves as the tests' cross-check on boxes with a small y-range; production
+never calls it.  Nothing here uses the rational type `qd.QD`.
 
 Candidates are yielded as (x, y) basis coordinates after an exact box
 membership test on integers; callers apply their own exact predicates on top.
@@ -29,19 +30,11 @@ from fractions import Fraction
 from typing import Callable, List, Tuple
 
 from .qarith import QuadElem, isqrt
-from .qd import QD, _floor_pair, _sign_pair, frac_sqrt_outer
+from .qd import _floor_pair, _sign_pair, frac_sqrt_outer
 
 # largest y-range the test cross-check `box_enumerate_scan` accepts: it pays
-# exact Q(sqrt(D)) interval arithmetic per y, where the Gauss engine pays per
-# candidate line
+# four exact floors per y, where the Gauss engine pays per candidate line
 YSCAN_LIMIT = 1500
-
-
-def omega_basis(D: int) -> QD:
-    """The non-rational basis element of O_K as an exact QD value."""
-    if D % 4 == 1:
-        return QD(D, 1, 1, 2)
-    return QD(D, 0, 1, 1)
 
 
 def coords_to_elem(D: int, x: int, y: int) -> QuadElem:
@@ -54,24 +47,27 @@ def coords_to_elem(D: int, x: int, y: int) -> QuadElem:
 def box_enumerate_scan(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, int]]:
     """y-scan engine, the tests' cross-check.  Exact interval intersection
     per y; raises if the y-range exceeds YSCAN_LIMIT."""
-    w = omega_basis(D)
-    wc = w.conj()
-    spread = w - wc  # sqrt(D) or 2 sqrt(D) ... positive
-    y_hi = (QD(D, Fraction(S1 + S2)) / spread).floor() + 1
+    S1, S2 = Fraction(S1), Fraction(S2)
+    S = S1 + S2
+    wa, wd = (1, 2) if D % 4 == 1 else (0, 1)  # omega = (wa + sqrt(D))/wd
+    # |y| * (omega - omega') <= S1 + S2, with omega - omega' = 2*sqrt(D)/wd
+    y_hi = _floor_pair(0, S.numerator * wd, 2 * S.denominator * D, D) + 1
     if y_hi > YSCAN_LIMIT:
         raise ValueError(f"y-range {y_hi} too large for the scan engine")
-    nS1, pS1 = QD(D, Fraction(-S1)), QD(D, Fraction(S1))
-    nS2, pS2 = QD(D, Fraction(-S2)), QD(D, Fraction(S2))
+
+    def x_range(bnd: Fraction, y: int, wb: int) -> Tuple[int, int]:
+        # floor(-S - y*w) and floor(S - y*w) + 1 for S = n/d and
+        # w = (wa + wb*sqrt(D))/wd, that is omega (wb = 1) or omega' (wb = -1)
+        n, d = bnd.numerator * wd, bnd.denominator
+        a, b = -y * d * wa, -y * d * wb
+        return _floor_pair(a - n, b, d * wd, D), _floor_pair(a + n, b, d * wd, D) + 1
+
     in_box = _in_box(D, S1, S2)
     out = []
     for y in range(-y_hi, y_hi + 1):
-        # x in [-S1 - y w1, S1 - y w1] ∩ [-S2 - y w2, S2 - y w2]
-        wy = w * y
-        wcy = wc * y
-        lo1 = (nS1 - wy).floor()
-        hi1 = (pS1 - wy).floor() + 1
-        lo2 = (nS2 - wcy).floor()
-        hi2 = (pS2 - wcy).floor() + 1
+        # x in [-S1 - y w, S1 - y w] ∩ [-S2 - y w', S2 - y w']
+        lo1, hi1 = x_range(S1, y, 1)
+        lo2, hi2 = x_range(S2, y, -1)
         lo, hi = max(lo1, lo2) - 1, min(hi1, hi2) + 1
         for x in range(lo, hi + 1):
             if in_box(x, y):

@@ -184,8 +184,24 @@ _ELEM_RE = re.compile(
 )
 
 
+# str() refuses an int past sys.get_int_max_str_digits() digits (4300 by
+# default); below 2**13000 an int has at most 3914 digits
+_STR_BITS = 13_000
+
+
+def to_decimal(n: int) -> str:
+    """n in decimal at any length, without the process-wide int/str limit:
+    split at a power of ten into halves until str() takes each part."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of n's log10(2) * bits digits
+    hi, lo = divmod(abs(n), 10 ** k)
+    return ("-" if n < 0 else "") + to_decimal(hi) + to_decimal(lo).zfill(k)
+
+
 def format_elem(x: QuadElem) -> str:
-    core = f"{x.a}{'+' if x.b >= 0 else '-'}{abs(x.b)}*sqrt({x.D})"
+    core = (f"{to_decimal(x.a)}{'+' if x.b >= 0 else '-'}{to_decimal(abs(x.b))}"
+            f"*sqrt({to_decimal(x.D)})")
     if x.den == 2:
         return f"({core})/2"
     return core
@@ -387,7 +403,7 @@ class SquarefreeStatus:
     def to_json(self) -> dict:
         out = {"mode": self.mode, "verdict": self.verdict}
         if self.witness is not None:
-            out["witness"] = str(self.witness)
+            out["witness"] = to_decimal(self.witness)
         if self.bound is not None:
             out["bound"] = int(self.bound)
         return out

@@ -1,16 +1,17 @@
 """Exact arithmetic in Q(sqrt(D)) with unrestricted rational coordinates.
 
 `QD` represents (a + b*sqrt(D))/q with integer a, b and q > 0, normalized so
-that gcd(a, b, q) = 1.  It serves the representability decider (Gram matrix,
-UDU^T factorisation, coordinate boxes, `sqrt_in_field`) and the
-tests' y-scan oracle; the public ring-of-integers type with den in {1, 2}
-lives in `qarith`.
+that gcd(a, b, q) = 1.  In the package only the representability decider in
+`certify` uses it (Gram matrix, UDU^T factorisation, coordinate boxes, the
+last coordinate's `sqrt_in_field`); the tests use it as their oracle.  The
+public ring-of-integers type with den in {1, 2} lives in `qarith`.
 
 Also here, on bare integers, are the generation side's two exact primitives
 on a + b*sqrt(D): `_sign_pair` (integer sign bookkeeping and one squaring)
 and `_floor_pair` (one isqrt and one floor division).  `QuadElem`, `QD`,
 `contfrac` and `latbox` all decide through them; the verifier keeps its own.
-No floating point anywhere.
+`sqrt_in_field` takes its square roots on integers too.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -76,39 +77,24 @@ class QD:
             if value.D != D:
                 raise ValueError("QD field mismatch")
             return value
-        if isinstance(value, Fraction):
-            return cls(D, value.numerator, 0, value.denominator)
         return cls(D, value)
-
-    def _like(self, a, b, q) -> "QD":
-        return QD(self.D, a, b, q)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         o = QD.of(self.D, other)
-        return self._like(self.a * o.q + o.a * self.q, self.b * o.q + o.b * self.q, self.q * o.q)
-
-    __radd__ = __add__
+        return QD(self.D, self.a * o.q + o.a * self.q, self.b * o.q + o.b * self.q, self.q * o.q)
 
     def __neg__(self):
-        return self._like(-self.a, -self.b, self.q)
+        return QD(self.D, -self.a, -self.b, self.q)
 
     def __sub__(self, other):
         return self + (-QD.of(self.D, other))
 
-    def __rsub__(self, other):
-        return QD.of(self.D, other) - self
-
     def __mul__(self, other):
         o = QD.of(self.D, other)
-        return self._like(
-            self.a * o.a + self.b * o.b * self.D,
-            self.a * o.b + self.b * o.a,
-            self.q * o.q,
-        )
-
-    __rmul__ = __mul__
+        return QD(self.D, self.a * o.a + self.b * o.b * self.D,
+                  self.a * o.b + self.b * o.a, self.q * o.q)
 
     def inverse(self) -> "QD":
         # 1/((a + b√D)/q) = q(a - b√D)/(a² - b²D)
@@ -122,11 +108,8 @@ class QD:
     def __truediv__(self, other):
         return self * QD.of(self.D, other).inverse()
 
-    def __rtruediv__(self, other):
-        return QD.of(self.D, other) * self.inverse()
-
     def conj(self) -> "QD":
-        return self._like(self.a, -self.b, self.q)
+        return QD(self.D, self.a, -self.b, self.q)
 
     # -- order -------------------------------------------------------------
 
@@ -140,17 +123,11 @@ class QD:
         o = QD.of(self.D, other)
         return self.a * o.q == o.a * self.q and self.b * o.q == o.b * self.q
 
-    def __hash__(self):
-        return hash((self.D, self.a, self.b, self.q))
-
     def __lt__(self, other):
         return (self - other).sign() < 0
 
     def __le__(self, other):
         return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
 
     def __ge__(self, other):
         return (self - other).sign() >= 0
@@ -182,16 +159,6 @@ class QD:
         return f"QD({self.D}, {self.a}, {self.b}, {self.q})"
 
 
-def frac_sqrt_exact(x: Fraction):
-    """sqrt(x) as a Fraction if x is the square of a rational, else None."""
-    if x < 0:
-        return None
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def frac_sqrt_outer(x: Fraction, extra_bits: int = 16) -> Fraction:
     """Rational upper bound on sqrt(x), tight to a relative 2**-extra_bits."""
     if x < 0:
@@ -205,39 +172,40 @@ def frac_sqrt_outer(x: Fraction, extra_bits: int = 16) -> Fraction:
     return Fraction(n, s)
 
 
+def _exact_isqrt(n: int):
+    """The square root of n if n is a perfect square (n >= 0), else None."""
+    if n < 0:
+        return None
+    r = isqrt(n)
+    return r if r * r == n else None
+
+
 def sqrt_in_field(theta: QD):
     """Exact square root of theta in Q(sqrt(D)), or None if none exists.
 
-    Solves (g + h*sqrt(D))**2 = e + f*sqrt(D): the norm e**2 - D*f**2 must be
-    a rational square m**2, and then g**2 is one of (e +- m)/2.
+    With theta = (a + b*sqrt(D))/q, A = a*q and B = b*q, a root
+    (g + h*sqrt(D)) solves g**2 + D*h**2 = A/q**2 and 2*g*h = B/q**2.  For
+    B != 0 the norm A**2 - D*B**2 must be a square m**2; then 2*(A + m) or
+    2*(A - m) is a square s**2 (tried in that order), and the root is
+    (s**2 + 2*B*sqrt(D))/(2*q*s).  For B = 0 the root is rational or a
+    rational multiple of sqrt(D).
     """
-    D = theta.D
-    s = theta.sign()
-    if s < 0 and theta.conj().sign() < 0:
-        return None
-    e = Fraction(theta.a, theta.q)
-    f = Fraction(theta.b, theta.q)
-    if f == 0:
-        g = frac_sqrt_exact(e)
-        if g is not None:
-            return QD(D, g, Fraction(0))
-        h2 = e / D
-        h = frac_sqrt_exact(h2)
-        if h is not None:
-            return QD(D, Fraction(0), h)
-        return None
-    m2 = e * e - D * f * f
-    m = frac_sqrt_exact(m2)
+    D, q = theta.D, theta.q
+    A, B = theta.a * q, theta.b * q
+    if B == 0:
+        r = _exact_isqrt(A)
+        if r is not None:
+            return QD(D, r, 0, q)
+        r = _exact_isqrt(A * D)
+        return None if r is None else QD(D, 0, r, q * D)
+    m = _exact_isqrt(A * A - D * B * B)
     if m is None:
         return None
-    for g2 in ((e + m) / 2, (e - m) / 2):
-        if g2 < 0:
+    for t in (A + m, A - m):
+        s = _exact_isqrt(2 * t)
+        if not s:  # no root, or t = 0, which gives no root with B != 0
             continue
-        g = frac_sqrt_exact(g2)
-        if g is None or g == 0:
-            continue
-        h = f / (2 * g)
-        cand = QD(D, g, h)
+        cand = QD(D, s * s, 2 * B, 2 * q * s)
         if cand * cand == theta:
             return cand
     return None

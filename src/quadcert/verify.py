@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,15 +47,32 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# Most digits a decimal field may have.  Parsing takes time quadratic in the
+# length; the cap admits the M = 5 Friesen D (213,305 digits) and keeps the
+# parse of a hostile field near 0.1 s (CPython 3.11 on a 2-core x86_64).
+MAX_DIGITS = 250_000
+# int() refuses more than sys.get_int_max_str_digits() digits (4300 by default)
+_INT_DIGITS = 4000
+
+
 def _int(text: str, what: str) -> int:
-    """int() of a string that matches _DEC_RE, whose only failure is
-    Python's int/str digit limit."""
-    try:
-        return int(text)
-    except ValueError:
+    """The value of a string that matches _DEC_RE, of at most MAX_DIGITS
+    digits: a long one is split in halves until int() takes each part."""
+    digits = len(text.lstrip("-"))
+    if digits > MAX_DIGITS:
         raise MalformedCertificate(
-            f"{what} exceeds Python's int/str conversion limit of "
-            f"{sys.get_int_max_str_digits()} digits") from None
+            f"{what} has {digits} digits, over the verifier's cap of {MAX_DIGITS}")
+    if len(text) <= _INT_DIGITS:
+        return int(text)
+    k = len(text) // 2  # the low half holds no sign
+    hi, lo = _int(text[:-k], what), _int(text[-k:], what)
+    return hi * 10 ** k + (-lo if text[0] == "-" else lo)
+
+
+def _show(n: int) -> str:
+    """n in decimal for a reason text, or its bit length past 4096 bits
+    (1,234 digits), before str() could refuse it or swamp the text."""
+    return str(n) if n.bit_length() <= 4096 else f"<{n.bit_length()}-bit integer>"
 
 
 def _dec(obj, key, positive=True) -> int:
@@ -357,9 +373,9 @@ def verify_certificate(obj) -> Verdict:
     # cheap field checks
     kk = isqrt(D)
     if kk * kk == D:
-        return Verdict(False, f"D = {D} is a perfect square")
+        return Verdict(False, f"D = {_show(D)} is a perfect square")
     if kk != k:
-        return Verdict(False, f"k = {k} is not floor(sqrt(D))")
+        return Verdict(False, f"k = {_show(k)} is not floor(sqrt(D))")
 
     # round trip with a step cap: a tampered D fails in O(len(seq)) steps
     period = _v_expand(D, k, cap=len(seq) + 1)
@@ -408,22 +424,17 @@ def verify_certificate(obj) -> Verdict:
     for p in obj["pairs"]:
         if p["violators"]:
             return Verdict(False, f"pair ({p['i']},{p['j']}) carries stored violators")
-    r = _vsqrt_scaled(D, 64)  # r <= 2**64 * sqrt(D) < r + 1
     for p in obj["pairs"]:
         i, j = p["i"], p["j"]
         bx = 4 * (ps[i] * ps[j] + qs[i] * qs[j] * D)
         by = 4 * (ps[i] * qs[j] + ps[j] * qs[i])
-        nb = bx * bx - by * by * D  # N(beta) > 0: both witnesses totally positive
-        hi1 = Fraction((bx << 64) + by * (r + 1), 1 << 64)
-        lo1 = Fraction((bx << 64) + by * r, 1 << 64)
-        S1 = _sqrt_outer(hi1, 20)
-        S2 = _sqrt_outer(Fraction(nb) / lo1, 20)
         try:
-            viol = _v_violators(D, bx, by, S1, S2)
+            viol = _v_violators(D, bx, by)
         except _PrecisionExhausted as exc:
             return Verdict(False, f"pair ({i},{j}): {exc}")
         if viol:
-            return Verdict(False, f"pair ({i},{j}) has violators: {viol[:3]}")
+            shown = ", ".join(f"({', '.join(map(_show, c))})" for c in viol[:3])
+            return Verdict(False, f"pair ({i},{j}) has violators: [{shown}]")
 
     # squarefree recomputation (the expensive step, deliberately last)
     try:
@@ -435,8 +446,16 @@ def verify_certificate(obj) -> Verdict:
     return Verdict(True, None)
 
 
-def _v_violators(D: int, bx: int, by: int, S1: Fraction, S2: Fraction):
-    """Nonzero c in the box with 4*a_i*a_j ⪰ c^2, by exact comparison."""
+def _v_violators(D: int, bx: int, by: int):
+    """Nonzero c with beta ⪰ c^2, by exact comparison, for the totally
+    positive beta = bx + by*sqrt(D) = 4*a_i*a_j.  The box bounds
+    sqrt(sigma_h(beta)), with sigma_2(beta) = N(beta)/sigma_1(beta)."""
+    r = _vsqrt_scaled(D, 64)  # r <= 2**64 * sqrt(D) < r + 1
+    nb = bx * bx - by * by * D  # N(beta) > 0: both witnesses totally positive
+    hi1 = Fraction((bx << 64) + by * (r + 1), 1 << 64)
+    lo1 = Fraction((bx << 64) + by * r, 1 << 64)
+    S1 = _sqrt_outer(hi1, 20)
+    S2 = _sqrt_outer(Fraction(nb) / lo1, 20)
     half = D % 4 == 1
     out = []
     for x, y in _vbox_enumerate(D, S1, S2):

@@ -1,6 +1,7 @@
 import pytest
 
 from quadcert.certify import build_certificate
+from quadcert.qd import QD
 
 
 def squarefree_sieve(limit: int):
@@ -12,6 +13,14 @@ def squarefree_sieve(limit: int):
             flags[m] = 0
         d += 1
     return [n for n in range(2, limit) if flags[n]]
+
+
+def omega_basis(D: int) -> QD:
+    """The non-rational basis element of O_K as an exact QD value, the
+    oracles' omega: sqrt(D), or (1 + sqrt(D))/2 when D ≡ 1 mod 4."""
+    if D % 4 == 1:
+        return QD(D, 1, 1, 2)
+    return QD(D, 0, 1, 1)
 
 
 @pytest.fixture(scope="session")

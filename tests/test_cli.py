@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -357,3 +358,24 @@ def test_numpy_loads_only_where_it_runs(tmp_path, capsys, expr, want, loads_nump
     assert printed == capsys.readouterr().out.splitlines()
     if want is not None:
         assert result == want
+
+
+# sha256 of the file `quadcert certify -M 4 -o F` writes: the certificate's
+# 114,624 bytes plus a newline (the certificate alone hashes to 98ed84b5...)
+M4_FILE_SHA256 = "6eb74607dfa985600c5665ab2752d0211bb94f25b9344366528030db774c2be8"
+
+
+@pytest.mark.slow
+def test_certify_and_verify_m4_from_the_cli(tmp_path):
+    """The paper's M = 4 field (a 23,698-digit D) goes through the CLI in
+    fresh processes under Python's default 4300-digit int/str limit: the
+    build with its self-verify, the write, and an independent verify."""
+    src = str(Path(quadcert.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    path = tmp_path / "m4.json"
+    for argv in (["certify", "-M", "4", "-o", str(path)], ["verify", str(path)]):
+        run = subprocess.run([sys.executable, "-m", "quadcert.cli", *argv], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("ACCEPTED")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == M4_FILE_SHA256

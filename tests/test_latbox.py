@@ -13,12 +13,13 @@ from quadcert.latbox import (
     box_enumerate_gauss,
     box_enumerate_scan,
     coords_to_elem,
-    omega_basis,
     sqrt_embedding_bounds,
 )
 from quadcert.qarith import QuadElem
 from quadcert.qd import QD, frac_sqrt_outer
 from quadcert.verify import _vbox_enumerate
+
+from .conftest import omega_basis
 
 
 def test_omega_basis():
@@ -146,10 +147,7 @@ def scan_boxes(draw):
 def test_engines_agree_on_random_boxes(box):
     """The y-scan is the oracle for the production (Gauss) engine."""
     D, S1, S2 = box
-    try:
-        want = box_enumerate_scan(D, S1, S2)
-    except ValueError:  # y-range beyond YSCAN_LIMIT: no oracle for this box
-        return
+    want = box_enumerate_scan(D, S1, S2)  # every drawn box is within YSCAN_LIMIT
     assert box_enumerate(D, S1, S2) == want
     assert (0, 0) in want
 
@@ -367,7 +365,7 @@ def test_generation_and_verifier_enumerations_agree():
 
     from quadcert.contfrac import alpha, expand_sqrt
     from quadcert.certify import pair_refute
-    from quadcert.verify import _v_violators, _vsqrt_scaled
+    from quadcert.verify import _v_violators
 
     rng = random.Random(424242)
     for D in (13, 5, 61, 94, 393):
@@ -378,14 +376,42 @@ def test_generation_and_verifier_enumerations_agree():
             a, b = alpha(e, i), alpha(e, j)
             pc = pair_refute(D, a, b, i=i, j=j)
             beta = 4 * a * b
-            r = _vsqrt_scaled(D, 64)  # r <= 2**64 * sqrt(D) < r + 1
-            hi1 = Fraction((beta.a << 64) + beta.b * (r + 1), 1 << 64)
-            lo1 = Fraction((beta.a << 64) + beta.b * r, 1 << 64)
-            S1 = frac_sqrt_outer(hi1, 20)
-            S2 = frac_sqrt_outer(Fraction(beta.norm()) / lo1, 20)
             got = set()
-            for ca, cb, cd in _v_violators(D, beta.a, beta.b, S1, S2):
+            for ca, cb, cd in _v_violators(D, beta.a, beta.b):
                 q = QuadElem(D, ca, cb, cd)  # canonicalizes (2a, 2b)/2 -> den 1
                 got.add((q.a, q.b, q.den))
             want = {(v.a, v.b, v.den) for v in pc.violators}
             assert got == want, (D, i, j)
+
+
+@pytest.mark.parametrize("cert", ["cert_m2", "cert_m3"])
+def test_planted_violators_at_certificate_scale(cert, request):
+    """Each witness alpha of the M = 2 and M = 3 fields (972- and 8741-bit D)
+    planted as the pair (alpha, alpha): 4*alpha^2 = (2*alpha)^2, so both
+    engines must find exactly the violators +-alpha and +-2*alpha.  Then
+    rational boxes just inside and just outside 2*alpha's two embeddings:
+    each engine lists the point exactly when it lies inside."""
+    from quadcert.certify import pair_refute
+    from quadcert.qd import _floor_pair
+    from quadcert.verify import _v_violators
+
+    cert = request.getfixturevalue(cert)
+    D = cert.D
+    for a in cert.witness_set.witnesses:
+        want = {a, -a, 2 * a, -2 * a}
+        assert set(pair_refute(D, a, a).violators) == want
+        beta = 4 * a * a
+        assert {QuadElem(D, *c) for c in _v_violators(D, beta.a, beta.b)} == want
+        # 2*alpha = 2p + 2q*sqrt(D) in {1, omega} coordinates; alpha is
+        # totally positive, and sigma_2(2*alpha) >= 1/p since |N(alpha)| >= 1
+        p, q = a.a, a.b
+        point = (2 * p - 2 * q, 4 * q) if D % 4 == 1 else (2 * p, 2 * q)
+        assert coords_to_elem(D, *point) == 2 * a
+        e = p.bit_length() + 64
+        lo1 = Fraction(_floor_pair(2 * p << e, 2 * q << e, 1, D), 1 << e)
+        lo2 = Fraction(_floor_pair(2 * p << e, -2 * q << e, 1, D), 1 << e)
+        hi1, hi2 = lo1 + Fraction(1, 1 << e), lo2 + Fraction(1, 1 << e)
+        assert lo2 > 0
+        for S1, S2, inside in ((hi1, hi2, True), (lo1, hi2, False), (hi1, lo2, False)):
+            for engine in (box_enumerate, _vbox_enumerate):
+                assert (point in engine(D, S1, S2)) == inside, (engine.__name__, S1, S2)

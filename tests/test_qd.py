@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadcert.qarith import QuadElem
-from quadcert.qd import QD, _sign_pair, frac_sqrt_exact, frac_sqrt_outer, sqrt_in_field
+from quadcert.qd import QD, _sign_pair, frac_sqrt_outer, sqrt_in_field
 from quadcert.verify import _vsign
 
 
@@ -57,26 +57,43 @@ def test_frac_sqrt_bounds():
         assert (hi * Fraction(999, 1000)) ** 2 < v  # tight
 
 
-def test_frac_sqrt_exact():
-    assert frac_sqrt_exact(Fraction(49, 16)) == Fraction(7, 4)
-    assert frac_sqrt_exact(Fraction(2)) is None
-    assert frac_sqrt_exact(Fraction(-1)) is None
-
-
 def test_sqrt_in_field():
     # (3 + sqrt(13))/2 squared
     c = QD(13, Fraction(3, 2), Fraction(1, 2))
     theta = c * c
     got = sqrt_in_field(theta)
     assert got is not None and (got == c or got == -c)
-    # rational square
+    # rational squares
     assert sqrt_in_field(QD(13, 9)) == QD(13, 3)
+    assert sqrt_in_field(QD(13, Fraction(49, 16))) == QD(13, Fraction(7, 4))
+    assert sqrt_in_field(QD(13, Fraction(13, 4))) == QD(13, 0, Fraction(1, 2))
     # D * square: sqrt(13)
     assert sqrt_in_field(QD(13, 13)) == QD(13, 0, 1)
     # non-squares
     assert sqrt_in_field(QD(13, 7)) is None
+    assert sqrt_in_field(QD(13, 2)) is None
     assert sqrt_in_field(QD(13, 1, 1)) is None
     assert sqrt_in_field(QD(13, -1)) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(D=st.sampled_from([2, 3, 5, 7, 8, 12, 13, 18, 61, 94, 2011]),
+       a=st.integers(-60, 60), b=st.integers(-60, 60), q=st.integers(1, 20),
+       t=st.sampled_from([1, 2, 3, -1]))
+def test_sqrt_in_field_on_squares(D, a, b, q, t):
+    """c^2 gets the root +-c whose rational part is positive (or zero with
+    a nonnegative sqrt(D) part), also for non-squarefree D; c^2 times 2, 3
+    or -1 gets a root only when one exists."""
+    c = QD(D, a, b, q)
+    theta = c * c * t
+    root = sqrt_in_field(theta)
+    if t == 1:
+        assert root == c or root == -c
+        assert root.a > 0 or (root.a == 0 and root.b >= 0)
+    else:
+        assert root is None or root * root == theta
+    if t == -1 and not c.is_zero():
+        assert root is None
 
 
 def test_upper_lower_frac():

@@ -1,6 +1,7 @@
 import ast
 import copy
 import json
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -11,9 +12,12 @@ from hypothesis import strategies as st
 
 from quadcert import _kernels, qarith, verify
 from quadcert.certify import build_certificate
-from quadcert.latbox import box_enumerate, omega_basis
+from quadcert.latbox import box_enumerate
+from quadcert.qarith import to_decimal
 from quadcert.qd import QD
 from quadcert.verify import MalformedCertificate, Verdict, verify_certificate
+
+from .conftest import omega_basis
 
 
 def test_verifier_imports_only_the_squarefree_classifier():
@@ -225,6 +229,10 @@ REJECTED_EDITS = [
     # 8 has the right shape of fields but is not squarefree (and wrong period)
     pytest.param(_edit(D="8", k="2"), "does not match the stated period", id="D-8"),
     pytest.param(_edit(D="100", k="10"), "perfect square", id="D-square"),
+    # past Python's 4300-digit int/str limit, the reason still prints
+    pytest.param(_edit(D="1" + "0" * 10_000, k="1" + "0" * 5_000),
+                 "D = <33220-bit integer> is a perfect square", id="D-square-10001-digits"),
+    pytest.param(_set(("k",), "9" * 5_000), "is not floor(sqrt(D))", id="k-5000-digits"),
     pytest.param(_zero_sequence_ends, "sequence entries must be positive", id="sequence-ends-0"),
     # exact mode re-proves the M = 1 D squarefree, which no probable verdict matches
     pytest.param(_exact_probable_conditional, "squarefree verdict mismatch",
@@ -313,15 +321,36 @@ def test_rejects_witness_index_beyond_period(cert_m1, i):
 
 
 @pytest.mark.parametrize("mutate", [
-    _set(("D",), "9" * 5000),
-    _set(("witnesses", 0, "p"), "9" * 5000),
-    _set(("sequence", 0), "9" * 5000),
+    _set(("D",), "9" * (verify.MAX_DIGITS + 1)),
+    _set(("witnesses", 0, "p"), "9" * (verify.MAX_DIGITS + 1)),
+    _set(("sequence", 0), "-" + "9" * (verify.MAX_DIGITS + 1)),
 ], ids=["D", "witness-p", "sequence"])
 def test_malformed_beyond_digit_limit(cert_m1, mutate):
+    """A decimal field one digit over the verifier's cap is malformed."""
     obj = copy.deepcopy(cert_m1.to_json())
     mutate(obj)
-    with pytest.raises(MalformedCertificate, match="conversion limit"):
+    with pytest.raises(MalformedCertificate, match="over the verifier's cap"):
         verify_certificate(obj)
+
+
+def test_decimal_round_trip_past_the_str_limit():
+    """The generator's writer and the verifier's parser take 30,000 digits,
+    past Python's default 4300-digit int/str limit, and agree with a
+    chunked Horner reference."""
+    rng = random.Random(30_000)
+    texts = ["1" + "0" * 29_999, "9" * 30_000,
+             "".join(rng.choice("0123456789") for _ in range(30_000)).lstrip("0")]
+    for text in texts + ["-" + texts[-1]]:
+        digits = text.lstrip("-")
+        want = 0
+        for at in range(0, len(digits), 1000):
+            chunk = digits[at:at + 1000]
+            want = want * 10 ** len(chunk) + int(chunk)
+        want = -want if text.startswith("-") else want
+        assert verify._int(text, "field") == want
+        assert to_decimal(want) == text
+    # at the cap itself a field still parses
+    assert verify._int("7" * verify.MAX_DIGITS, "field") % 10 ** 6 == 777_777
 
 
 def test_malformed_unparsable_json_values():
