@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -295,44 +295,67 @@ def build_certificate(
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Q(x) = sum_{i<=j} a_ij x_i x_j with a_ij in O_K; Gram b_ij = a_ij/2."""
+    """Q(x) = sum_{i<=j} a_ij x_i x_j with a_ij in O_K; Gram b_ij = a_ij/2.
+
+    Construction builds the coefficient table once: a_ij = (A + B*sqrt(D))/2
+    as the integer pair (A, B), over the denominator 2 that every element of
+    O_K shares, for each 1 <= i <= j <= n that coeffs names (the first entry
+    wins).  `coeff`, `gram` and `evaluate` all read it.
+    """
 
     D: int
     n: int
     coeffs: Tuple[Tuple[int, int, QuadElem], ...]  # (i, j, a_ij), 1-based, i <= j
+    _table: Dict[Tuple[int, int], Tuple[int, int]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        for i, j, c in self.coeffs:
+            if 1 <= i <= j <= self.n:
+                table.setdefault((i, j), (c.a * (2 // c.den), c.b * (2 // c.den)))
+        object.__setattr__(self, "_table", table)
 
     def coeff(self, i: int, j: int) -> QuadElem:
         if i > j:
             i, j = j, i
-        for a, b, c in self.coeffs:
-            if (a, b) == (i, j):
-                return c
-        return QuadElem(self.D, 0, 0)
+        return QuadElem(self.D, *self._table.get((i, j), (0, 0)), 2)
 
     def gram(self) -> List[List[QD]]:
         """Exact Gram matrix over Q(sqrt(D)); off-diagonal entries are halved."""
         D = self.D
         B = [[QD(D, 0) for _ in range(self.n)] for _ in range(self.n)]
-        for i in range(1, self.n + 1):
-            for j in range(i, self.n + 1):
-                c = self.coeff(i, j)
-                if i == j:
-                    B[i - 1][i - 1] = QD(D, c.a, c.b, c.den)
-                else:
-                    B[i - 1][j - 1] = B[j - 1][i - 1] = QD(D, c.a, c.b, 2 * c.den)
+        for (i, j), (a, b) in self._table.items():
+            if i == j:
+                B[i - 1][i - 1] = QD(D, a, b, 2)
+            else:
+                B[i - 1][j - 1] = B[j - 1][i - 1] = QD(D, a, b, 4)
         return B
 
     def evaluate(self, v: Sequence[QuadElem]) -> QuadElem:
+        """Q(v), summed as one integer pair over the denominator 8 = 2*2*2
+        (a_ij, x_i and x_j each over 2); only the result is a QuadElem."""
         if len(v) != self.n:
             raise ValueError("vector length mismatch")
-        total = QuadElem(self.D, 0, 0)
-        for i in range(1, self.n + 1):
-            for j in range(i, self.n + 1):
-                c = self.coeff(i, j)
-                if c.a == 0 and c.b == 0:
-                    continue
-                total = total + c * v[i - 1] * v[j - 1]
-        return total
+        D = self.D
+        xs = []
+        for x in v:
+            if type(x) is not QuadElem or x.D != D:
+                # an int joins the field; another field or type raises
+                # QuadElem's own error
+                x = QuadElem(D, 0, 0) + x
+            xs.append((x.a * (2 // x.den), x.b * (2 // x.den)))
+        ta = tb = 0
+        for (i, j), (ca, cb) in self._table.items():
+            xa, xb = xs[i - 1]
+            ya, yb = xs[j - 1]
+            pa = xa * ya + xb * yb * D  # x_i x_j, over 4
+            pb = xa * yb + xb * ya
+            ta += ca * pa + cb * pb * D
+            tb += ca * pb + cb * pa
+        # Q(v) is in O_K, so (ta + tb*sqrt(D))/8 has numerators over 2 of ta/4, tb/4
+        assert ta % 4 == 0 and tb % 4 == 0
+        return QuadElem(D, ta // 4, tb // 4, 2)
 
     def is_totally_positive_definite(self) -> bool:
         """Every pivot of the UDU^T factorisation is totally positive (Sylvester

@@ -30,7 +30,9 @@ from .qarith import (
     SquarefreeUndetermined,
     check_trial_bound,
     format_elem,
+    from_decimal,
     parse_elem,
+    to_decimal,
 )
 from .smallnorm import audit_lemma, classify_elements, enumerate_small_norm, power_trace
 from .verify import MalformedCertificate, verify_certificate, verify_file
@@ -71,7 +73,7 @@ def _count(text: str) -> int:
 
 def _parse_krange(text: str):
     lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    return from_decimal(lo), from_decimal(hi)
 
 
 def cmd_cf(args) -> int:
@@ -80,16 +82,18 @@ def cmd_cf(args) -> int:
     rows = []
     for c, fb, nb in bound_checks_stream(e, n):
         rows.append({
-            "i": c.i, "p": str(c.p), "q": str(c.q),
-            "norm": str(nb.norm),
+            "i": c.i, "p": to_decimal(c.p), "q": to_decimal(c.q),
+            "norm": to_decimal(nb.norm),
             "fraction_bounds": [fb.lower_holds, fb.upper_holds],
             "norm_bounds": [nb.lower_holds, nb.upper_holds],
         })
     payload = {
-        "D": str(args.D), "k": str(e.k), "period": [str(u) for u in e.period],
+        "D": to_decimal(args.D), "k": to_decimal(e.k),
+        "period": [to_decimal(u) for u in e.period],
         "s": e.s, "r": e.r, "convergents": rows,
     }
-    lines = [f"sqrt({args.D}) = [{e.k}; overline({','.join(map(str, e.period))})]  s={e.s} r={e.r}",
+    lines = [f"sqrt({payload['D']}) = [{payload['k']}; overline({','.join(payload['period'])})]"
+             f"  s={e.s} r={e.r}",
              f"{'i':>4} {'p_i':>24} {'q_i':>20} {'N(alpha_i)':>16} fbounds nbounds"]
     for row in rows:
         lines.append(f"{row['i']:>4} {row['p']:>24} {row['q']:>20} {row['norm']:>16} "
@@ -101,7 +105,7 @@ def cmd_cf(args) -> int:
 def cmd_friesen_check(args) -> int:
     seq = SymSequence.parse(args.seq)
     ok = parity_condition(seq)
-    payload = {"sequence": [str(u) for u in seq.values], "parity_condition": ok}
+    payload = {"sequence": [to_decimal(u) for u in seq.values], "parity_condition": ok}
     _emit(args, payload, [f"sequence ({seq}) : condition {'holds' if ok else 'fails'}"])
     return 0
 
@@ -117,10 +121,10 @@ def cmd_friesen_search(args) -> int:
         warnings.simplefilter("ignore")  # the warn line above already says it
         hits = search_k(seq, (lo, hi), sf_mode=mode, sf_bound=bound)
     payload = {
-        "sequence": [str(u) for u in seq.values],
-        "k_range": [lo, hi],
+        "sequence": [to_decimal(u) for u in seq.values],
+        "k_range": [to_decimal(lo), to_decimal(hi)],
         "hits": [
-            {"k": str(h.k), "D": str(h.D), "squarefree": h.squarefree.to_json(),
+            {"k": to_decimal(h.k), "D": to_decimal(h.D), "squarefree": h.squarefree.to_json(),
              "roundtrip_verified": h.roundtrip_verified}
             for h in hits
         ],
@@ -128,7 +132,7 @@ def cmd_friesen_search(args) -> int:
     if warn:
         payload["warning"] = warn
     lines = ([warn] if warn else []) + [
-        f"k={h.k} D={h.D} {h.squarefree.verdict}" for h in hits
+        f"k={to_decimal(h.k)} D={to_decimal(h.D)} {h.squarefree.verdict}" for h in hits
     ] + [f"{len(hits)} hit(s)"]
     _emit(args, payload, lines)
     return 0
@@ -138,7 +142,7 @@ def cmd_construct(args) -> int:
     seq = construct_sequence(args.M, args.base)
     payload = {
         "M": args.M, "base": args.base,
-        "sequence": [str(u) for u in seq.values],
+        "sequence": [to_decimal(u) for u in seq.values],
         "s": seq.s, "r": seq.r,
         "parity_condition": parity_condition(seq),
     }
@@ -196,10 +200,10 @@ def cmd_smallnorm(args) -> int:
     elems = classify_elements(args.D, enumerate_small_norm(args.D, args.bound, args.y_max))
     audit = audit_lemma(args.D, args.y_max)
     payload = {
-        "D": str(args.D), "bound": args.bound, "y_max": args.y_max,
+        "D": to_decimal(args.D), "bound": args.bound, "y_max": args.y_max,
         "elements": [
-            {"x": str(e.mu.a), "y": str(e.mu.b), "den": e.mu.den,
-             "norm": str(e.norm),
+            {"x": to_decimal(e.mu.a), "y": to_decimal(e.mu.b), "den": e.mu.den,
+             "norm": to_decimal(e.norm),
              "match": None if e.classified_as is None else {
                  "i": e.classified_as.index,
                  "multiplier": str(e.classified_as.multiplier),
@@ -209,7 +213,7 @@ def cmd_smallnorm(args) -> int:
         "audit_all_matched": audit.all_matched,
     }
     lines = [
-        f"{format_elem(e.mu)}  norm {e.norm}"
+        f"{format_elem(e.mu)}  norm {to_decimal(e.norm)}"
         + (f"  = {e.classified_as.multiplier} * alpha_{e.classified_as.index}"
            if e.classified_as else "")
         for e in elems
@@ -224,7 +228,7 @@ def cmd_power_trace(args) -> int:
     e = expand_sqrt(args.D)
     rep = power_trace(e, args.i, args.m)
     payload = {
-        "D": str(args.D), "i": args.i, "m": args.m,
+        "D": to_decimal(args.D), "i": args.i, "m": args.m,
         "power": format_elem(rep.power),
         "primitive": rep.primitive,
         "norm_ok": rep.norm_ok,
@@ -243,7 +247,7 @@ def cmd_represent(args) -> int:
     target = parse_elem(args.target, args.D)
     res = decide_represent(form, target)
     payload = {
-        "D": str(args.D), "form": args.form, "target": format_elem(target),
+        "D": to_decimal(args.D), "form": args.form, "target": format_elem(target),
         "status": res.status,
         "vector": [format_elem(v) for v in res.vector] if res.vector else None,
         "candidates_per_coordinate": list(res.candidates_per_coordinate),
@@ -261,11 +265,12 @@ def cmd_represent(args) -> int:
 def cmd_tp_list(args) -> int:
     elems = totally_positive_up_to(args.D, args.trace)
     payload = {
-        "D": str(args.D), "trace_bound": args.trace,
-        "elements": [{"elem": format_elem(x), "trace": str(x.trace()),
-                      "norm": str(x.norm())} for x in elems],
+        "D": to_decimal(args.D), "trace_bound": args.trace,
+        "elements": [{"elem": format_elem(x), "trace": to_decimal(x.trace()),
+                      "norm": to_decimal(x.norm())} for x in elems],
     }
-    lines = [f"{format_elem(x)}  trace {x.trace()} norm {x.norm()}" for x in elems]
+    lines = [f"{format_elem(x)}  trace {to_decimal(x.trace())} norm {to_decimal(x.norm())}"
+             for x in elems]
     lines.append(f"{len(elems)} element(s)")
     _emit(args, payload, lines)
     return 0

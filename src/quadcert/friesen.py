@@ -27,7 +27,9 @@ from .qarith import (
     SquarefreeStatus,
     SquarefreeUndetermined,
     check_trial_bound,
+    from_decimal,
     squarefree_status,
+    to_decimal,
 )
 
 
@@ -61,10 +63,10 @@ class SymSequence:
         text = text.strip()
         if not text:
             return cls(())
-        return cls(tuple(int(t) for t in text.split(",")))
+        return cls(tuple(from_decimal(t) for t in text.split(",")))
 
     def __str__(self):
-        return ",".join(str(u) for u in self.values)
+        return ",".join(to_decimal(u) for u in self.values)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,12 @@ deterministic Miller-Rabin for the range where it is a proof.
 The trial scan, one engine for every n, reduces products of primes mod n.
 The first call sieves the primes; the products of the segments up to
 DEFAULT_TRIAL_BOUND (the last one cut short there) stay in `_SEGMENT_BLOCKS`
-(about 2 MB), so later calls in the process, for any n, only reduce them
-and sieve again just the segments where a gcd finds a prime factor.  A
-segment's blocks become one product the first time a scan reuses it, and a
-stored product is reduced by a short ladder of products with 2**m mod n
-(`_fold_ladder`, `_fold_mod`) instead of a long division.  The table depends
+(about 2 MB), so later calls in the process, for any n, only reduce them.
+One gcd serves a run of segments, and only a segment whose residue shares a
+prime with n is sieved again, to walk its primes.  A segment's blocks
+become one product the first time a scan reuses it, and a stored product
+is reduced by a short ladder of products with 2**m mod n (`_fold_ladder`,
+`_fold_mod`) instead of a long division.  The table depends
 on the primes alone.  The sieve helpers, the only code here that runs on
 numpy, import it when first called: the first scan loads it, to sieve its
 base primes, and a process that never scans does not.
@@ -26,6 +27,7 @@ base primes, and a process that never scans does not.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from typing import Optional
@@ -184,19 +186,36 @@ _ELEM_RE = re.compile(
 )
 
 
-# str() refuses an int past sys.get_int_max_str_digits() digits (4300 by
-# default); below 2**13000 an int has at most 3914 digits
-_STR_BITS = 13_000
+def _max_str_digits() -> int:
+    """The process's int/str digit limit (4300 by default, at least 640 when
+    set, 0 for none; Pythons before the limit have none)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def to_decimal(n: int) -> str:
-    """n in decimal at any length, without the process-wide int/str limit:
-    split at a power of ten into halves until str() takes each part."""
-    if n.bit_length() <= _STR_BITS:
+    """n in decimal at any length, without touching the process-wide int/str
+    limit: split at a power of ten into halves until str() takes each part."""
+    limit = _max_str_digits()
+    # an int below 2**(3*L) has at most 0.91*L + 1 <= L digits for L >= 640
+    if not limit or n.bit_length() <= 3 * limit:
         return str(n)
     k = n.bit_length() * 3 // 20  # about half of n's log10(2) * bits digits
     hi, lo = divmod(abs(n), 10 ** k)
     return ("-" if n < 0 else "") + to_decimal(hi) + to_decimal(lo).zfill(k)
+
+
+def from_decimal(text: str) -> int:
+    """int(text), also for a digit string past the int/str limit: that one
+    is split in halves until int() takes each part.  Anything else int()
+    refuses raises int()'s ValueError."""
+    limit = _max_str_digits()
+    m = re.fullmatch(r"\s*([+-]?)(\d+)\s*", text)
+    if m is None or not limit or len(m[2]) <= limit:
+        return int(text)
+    digits = m[2]
+    k = len(digits) // 2
+    n = from_decimal(digits[:-k]) * 10 ** k + from_decimal(digits[-k:])
+    return -n if m[1] == "-" else n
 
 
 def format_elem(x: QuadElem) -> str:
@@ -429,6 +448,8 @@ _SIEVE_SEGMENT = 1 << 15
 # int64 pair products of primes (each prime < 2**31 since bounds stay within
 # MAX_TRIAL_BOUND) multiplied together into one block product
 _PAIR_BLOCK = 64
+# most segments whose residues share one gcd with n: runs double up to it
+_RUN_SEGMENTS = 64
 
 # The block products of the sieve segments a scan to DEFAULT_TRIAL_BOUND
 # meets, the last one cut short at that bound, keyed by the segment's first
@@ -526,9 +547,12 @@ def _trial_square_scan(n: int, bound: int):
     <= min(bound, isqrt(m)) that divides m, n's odd part, divided out once.
     Status and witness are those of plain trial division by every d <= bound.
 
-    Bernstein's batching: reduce the product of each segment's primes mod n;
-    one gcd per segment then yields the product of that segment's primes
-    dividing n, usually 1.
+    Bernstein's batching: reduce the product of each segment's primes mod n.
+    Runs of 1, 2, 4, ... up to _RUN_SEGMENTS consecutive segments multiply
+    their residues, folded back to about twice n's length after each
+    multiply, and take one gcd with n: the product of the run's primes
+    dividing n, usually 1.  Only a gcd above 1 walks the run's segments, in
+    order, so the smallest witness still comes first.
     """
     if n % 2 == 0:
         n //= 2
@@ -536,14 +560,16 @@ def _trial_square_scan(n: int, bound: int):
             return 0, 2, n
     limit = min(bound, isqrt(n))
     base = _odd_primes_upto(isqrt(limit))  # under a millisecond
-    # built once, at the first stored product; n only loses prime factors
-    # after that, so the rungs stay congruences mod every later n
-    rungs = None
+    # built once, at the first stored product and at the first run of two;
+    # n only loses prime factors after that, so the rungs stay congruences
+    # mod every later n
+    rungs = run_rung = None
+    run = []  # (lo, size, residue) of the segments since the last gcd
+    run_len = 1
     lo = 3
     while lo <= limit:
         size = min(_SIEVE_SEGMENT, (limit - lo) // 2 + 1)
         hi = lo + 2 * size
-        primes = None
         # the segment a scan to DEFAULT_TRIAL_BOUND meets at lo, the last
         # one cut short there, is the one the table may hold
         stored = size == min(_SIEVE_SEGMENT, (DEFAULT_TRIAL_BOUND - lo) // 2 + 1)
@@ -564,19 +590,34 @@ def _trial_square_scan(n: int, bound: int):
             if rungs is None:
                 rungs = _fold_ladder(n, blocks[0].bit_length())
             acc = _fold_mod(blocks[0], n, rungs)
-        g = gcd(acc, n)
-        if g > 1:
-            if primes is None:  # a stored segment: sieve it again to walk it
-                primes = _sieve_segment(lo, size, base)
-            for p in primes.tolist():
-                if g % p == 0:
-                    n //= p
-                    if n % p == 0:
-                        return 0, p, n
-                    g //= p
-                    if g == 1:  # every prime of g divided out
-                        break
+        if run:
+            if run_rung is None:  # one rung, at twice n's length
+                run_rung = _fold_ladder(n, 3 * n.bit_length())[0]
+            m, r, mask = run_rung
+            run_acc *= acc
+            run_acc = (run_acc >> m) * r + (run_acc & mask)
+        else:
+            run_acc = acc
+        run.append((lo, size, acc))
         lo = hi
+        if len(run) < run_len and lo <= limit:
+            continue
+        g = gcd(run_acc, n)
+        if g > 1:
+            for slo, ssize, sacc in run:
+                gs = gcd(sacc, g)  # the segment's primes dividing n
+                if gs == 1:
+                    continue
+                for p in _sieve_segment(slo, ssize, base).tolist():
+                    if gs % p == 0:
+                        n //= p
+                        if n % p == 0:
+                            return 0, p, n
+                        gs //= p
+                        if gs == 1:  # every prime of gs divided out
+                            break
+        run = []
+        run_len = min(2 * run_len, _RUN_SEGMENTS)
     return 1, 0, n
 
 

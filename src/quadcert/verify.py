@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,8 +52,12 @@ def _is_int(v) -> bool:
 # length; the cap admits the M = 5 Friesen D (213,305 digits) and keeps the
 # parse of a hostile field near 0.1 s (CPython 3.11 on a 2-core x86_64).
 MAX_DIGITS = 250_000
-# int() refuses more than sys.get_int_max_str_digits() digits (4300 by default)
-_INT_DIGITS = 4000
+
+
+def _str_digits() -> int:
+    """Most digits int() and str() convert in this process: 4300 by
+    default, at least 640 when set, 0 for no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _int(text: str, what: str) -> int:
@@ -62,7 +67,8 @@ def _int(text: str, what: str) -> int:
     if digits > MAX_DIGITS:
         raise MalformedCertificate(
             f"{what} has {digits} digits, over the verifier's cap of {MAX_DIGITS}")
-    if len(text) <= _INT_DIGITS:
+    limit = _str_digits()
+    if not limit or len(text) <= limit:
         return int(text)
     k = len(text) // 2  # the low half holds no sign
     hi, lo = _int(text[:-k], what), _int(text[-k:], what)
@@ -71,8 +77,11 @@ def _int(text: str, what: str) -> int:
 
 def _show(n: int) -> str:
     """n in decimal for a reason text, or its bit length past 4096 bits
-    (1,234 digits), before str() could refuse it or swamp the text."""
-    return str(n) if n.bit_length() <= 4096 else f"<{n.bit_length()}-bit integer>"
+    (1,234 digits), or past what str() takes, before str() could refuse it
+    or swamp the text."""
+    limit = _str_digits()
+    bits = min(4096, 3 * limit) if limit else 4096  # below 2**(3L): <= L digits
+    return str(n) if n.bit_length() <= bits else f"<{n.bit_length()}-bit integer>"
 
 
 def _dec(obj, key, positive=True) -> int:

@@ -214,6 +214,112 @@ def test_form_evaluate():
     assert f.evaluate(v) == phi * phi + phi + 1
 
 
+def _sum_evaluate(form: QuadraticForm, v) -> QuadElem:
+    """The QuadElem sum sum_{i<=j} a_ij v_i v_j, the oracle for the integer
+    evaluation (and the form's evaluate before it)."""
+    if len(v) != form.n:
+        raise ValueError("vector length mismatch")
+    total = QuadElem(form.D, 0, 0)
+    for i in range(1, form.n + 1):
+        for j in range(i, form.n + 1):
+            c = form.coeff(i, j)
+            if c.a == 0 and c.b == 0:
+                continue
+            total = total + c * v[i - 1] * v[j - 1]
+    return total
+
+
+def _elems(D: int, size: int):
+    """Elements of O_K, half-integral ones too when D ≡ 1 (mod 4)."""
+    pair = st.tuples(st.integers(-size, size), st.integers(-size, size))
+    if D % 4 != 1:
+        return pair.map(lambda ab: QuadElem(D, *ab))
+    return st.tuples(pair, st.booleans()).map(
+        lambda t: QuadElem(D, 2 * t[0][0] + t[1], 2 * t[0][1] + t[1], 2))
+
+
+@st.composite
+def forms_and_vectors(draw):
+    """Any form of arity <= 5 (zero, repeated and out-of-range entries
+    included: the first entry for (i, j) counts) and a vector of its length."""
+    D = draw(st.sampled_from((2, 3, 5, 13, 94, 2011)))
+    n = draw(st.integers(1, 5))
+    index = st.integers(1, n + 1)
+    coeffs = draw(st.lists(st.tuples(index, index, _elems(D, 10)), max_size=18))
+    vec = draw(st.lists(_elems(D, draw(st.sampled_from((3, 10 ** 6)))), min_size=n, max_size=n))
+    return QuadraticForm(D=D, n=n, coeffs=tuple(coeffs)), tuple(vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=forms_and_vectors())
+def test_evaluate_matches_quadelem_sum(case):
+    form, v = case
+    assert form.evaluate(v) == _sum_evaluate(form, v)
+
+
+def test_evaluate_refuses_what_the_sum_refuses():
+    """A wrong length, an entry over another field and an entry of another
+    type raise what the QuadElem sum raises; a plain int is an element."""
+    f = parse_form("x1^2 + x1 x2 + 3 x2^2", 5)
+    one = QuadElem(5, 1, 0)
+    for v, exc in (((one,), ValueError), ((one, one, one), ValueError),
+                   ((one, QuadElem(13, 1, 0)), ValueError), ((QuadElem(2, 0, 1), one), ValueError),
+                   ((one, 1.5), TypeError)):
+        with pytest.raises(exc) as want:
+            _sum_evaluate(f, v)
+        with pytest.raises(exc) as got:
+            f.evaluate(v)
+        assert str(got.value) == str(want.value)
+    assert f.evaluate((2, one)) == _sum_evaluate(f, (2, one)) == QuadElem(5, 9, 0)
+
+
+def test_coefficient_table_reads_like_the_coefficients():
+    """coeff and gram read the table built at construction; equal forms stay
+    equal and hash alike whatever the table holds."""
+    c = QuadElem(5, 1, 1, 2)
+    f = QuadraticForm(D=5, n=2, coeffs=((1, 1, c), (1, 2, QuadElem(5, -3, 0)),
+                                        (1, 1, QuadElem(5, 7, 0)), (2, 3, c)))
+    assert f.coeff(1, 1) == c and f.coeff(2, 1) == QuadElem(5, -3, 0)
+    assert f.coeff(2, 2) == QuadElem(5, 0, 0)
+    assert f.gram() == [[QD(5, 1, 1, 2), QD(5, -3, 0, 2)], [QD(5, -3, 0, 2), QD(5, 0)]]
+    g = QuadraticForm(D=5, n=2, coeffs=f.coeffs)
+    assert f == g and hash(f) == hash(g) and "_table" not in repr(f)
+
+
+# sha256 over (status, vector, candidates, nodes) and Q(vector) of every
+# decide_represent result below, as the QuadElem-sum evaluate gave them
+REPRESENT_SHA256 = "4497bafa0391899a9cf150885f221051e07dbe222318cb09d6ad4b084131012d"
+
+
+def _represent_digest(D1: int, alphas) -> str:
+    """The C8 grid (trace <= 30); every other totally positive definite form
+    of this file against every totally positive target of trace <= 20; and
+    the unary forms of test_witness_blocks_low_rank_forms over the M = 1
+    field D1 against its witnesses alphas and the rationals 1..10."""
+    cases = [(parse_form("x1^2 + x1 x2 + x2^2 + x3^2 + x3 x4 + x4^2", 5), t)
+             for t in totally_positive_up_to(5, 30)]
+    for text, D in (("x1^2 + x1 x2 + 3 x2^2", 5), ("x1^2 + x2^2", 2), ("x1^2 + x2^2", 13),
+                    ("x1^2 + x1 x2 + x2^2", 5), ("(3+2*sqrt(2)) x1^2", 2),
+                    ("(7+3*sqrt(5))/2 x1^2", 5)):
+        form = parse_form(text, D)
+        assert form.is_totally_positive_definite()
+        cases += [(form, t) for t in totally_positive_up_to(D, 20)]
+    for a11 in (26, 25, 13, 39, 12, 15, 16, 9, 1, 2):
+        form = parse_form(f"{a11} x1^2", D1)
+        cases += [(form, t) for t in list(alphas) + totally_positive_up_to(D1, 20)]
+    h = hashlib.sha256()
+    for form, target in cases:
+        r = decide_represent(form, target)
+        h.update(repr((r.status, r.vector, r.candidates_per_coordinate, r.nodes_visited,
+                       r.vector and form.evaluate(r.vector))).encode())
+    return h.hexdigest()
+
+
+def test_represent_results_pinned(cert_m1):
+    e = expand_sqrt(cert_m1.D, max_steps=10)
+    assert _represent_digest(cert_m1.D, (alpha(e, 1), alpha(e, 3))) == REPRESENT_SHA256
+
+
 def test_decide_represent_found():
     f = parse_form("x1^2 + x1 x2 + x2^2 + x3^2 + x3 x4 + x4^2", 5)
     r = decide_represent(f, QuadElem(5, 1, 0))

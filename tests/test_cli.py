@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,7 @@ def test_friesen_search_json(capsys):
     assert code == 0
     obj = json.loads(out)
     assert [h["D"] for h in obj["hits"]] == ["3", "8", "15", "24", "35", "48"]
+    assert obj["k_range"] == ["1", "6"]  # decimal strings, as every integer field
 
 
 def test_construct(capsys):
@@ -358,6 +360,51 @@ def test_numpy_loads_only_where_it_runs(tmp_path, capsys, expr, want, loads_nump
     assert printed == capsys.readouterr().out.splitlines()
     if want is not None:
         assert result == want
+
+
+def _m3_search_argv(*opts):
+    from quadcert.friesen import admissible_k, construct_sequence
+    from quadcert.qarith import to_decimal
+
+    seq = construct_sequence(3)
+    k = to_decimal(admissible_k(seq)[0])
+    return [*opts, "friesen-search", str(seq), "--k", f"{k}..{k}",
+            "--squarefree", "probable:1000"]
+
+
+def _stdout_at_both_limits(argv) -> bytes:
+    """What `quadcert argv` prints in a fresh process, checked to be the same
+    bytes under -X int_max_str_digits=640, the least limit Python allows, as
+    under the default limit, with exit 0 and nothing on stderr."""
+    src = str(Path(quadcert.__file__).resolve().parent.parent)
+    runs = [subprocess.run([sys.executable, *flags, "-m", "quadcert.cli", *argv],
+                           env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+            for flags in ([], ["-X", "int_max_str_digits=640"])]
+    for run in runs:
+        assert run.returncode == 0 and run.stderr == b"", run.stderr
+    assert runs[1].stdout == runs[0].stdout
+    return runs[0].stdout
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["cf", "199999"], id="cf"),
+    pytest.param(_m3_search_argv(), id="friesen-search"),
+    pytest.param(_m3_search_argv("--json"), id="friesen-search-json"),
+])
+def test_cli_prints_past_a_lowered_int_str_limit(argv):
+    """A command whose input and output hold integers of more than 640
+    digits (the M = 3 sequence and k, the convergents of sqrt(199999))
+    prints the same bytes under a 640-digit int/str limit."""
+    out = _stdout_at_both_limits(argv)
+    assert max(map(len, re.findall(rb"[0-9]+", out))) > 640
+
+
+def test_verify_past_a_lowered_int_str_limit(tmp_path, cert_m3):
+    """The M = 3 certificate, whose D and witnesses have more than 640
+    digits, is accepted under a 640-digit int/str limit too."""
+    path = tmp_path / "m3.json"
+    path.write_text(cert_m3.dumps())
+    assert _stdout_at_both_limits(["verify", str(path)]) == b"ACCEPTED\n"
 
 
 # sha256 of the file `quadcert certify -M 4 -o F` writes: the certificate's

@@ -384,34 +384,75 @@ def test_generation_and_verifier_enumerations_agree():
             assert got == want, (D, i, j)
 
 
-@pytest.mark.parametrize("cert", ["cert_m2", "cert_m3"])
-def test_planted_violators_at_certificate_scale(cert, request):
-    """Each witness alpha of the M = 2 and M = 3 fields (972- and 8741-bit D)
-    planted as the pair (alpha, alpha): 4*alpha^2 = (2*alpha)^2, so both
-    engines must find exactly the violators +-alpha and +-2*alpha.  Then
-    rational boxes just inside and just outside 2*alpha's two embeddings:
-    each engine lists the point exactly when it lies inside."""
+def _assert_planted(D, a, b, c):
+    """4ab = c^2 with c totally positive: both engines find exactly the
+    violators +-c/2 and +-c of the pair (a, b)."""
     from quadcert.certify import pair_refute
-    from quadcert.qd import _floor_pair
     from quadcert.verify import _v_violators
 
+    assert 4 * a * b == c * c and c.is_totally_positive()
+    half = QuadElem(D, c.a, c.b, 2 * c.den)
+    want = {half, -half, c, -c}
+    assert set(pair_refute(D, a, b).violators) == want
+    beta = 4 * a * b
+    assert {QuadElem(D, *v) for v in _v_violators(D, beta.a, beta.b)} == want
+
+
+def _assert_boxes_around(D, c):
+    """Both engines list the totally positive c in rational boxes just
+    outside its two embeddings, and not in boxes just inside either."""
+    from quadcert.qd import _floor_pair
+
+    # c = (A + B*sqrt(D))/2 in {1, omega} coordinates
+    A, B = c.a * (2 // c.den), c.b * (2 // c.den)
+    point = ((A - B) // 2, B) if D % 4 == 1 else (A // 2, B // 2)
+    assert coords_to_elem(D, *point) == c
+    e = max(A.bit_length(), B.bit_length()) + 64
+    lo1 = Fraction(_floor_pair(A << e, B << e, 2, D), 1 << e)
+    lo2 = Fraction(_floor_pair(A << e, -B << e, 2, D), 1 << e)
+    hi1, hi2 = lo1 + Fraction(1, 1 << e), lo2 + Fraction(1, 1 << e)
+    assert lo2 > 0  # sigma_2(c) >= 1/sigma_1(c) since N(c) >= 1
+    for S1, S2, inside in ((hi1, hi2, True), (lo1, hi2, False), (hi1, lo2, False)):
+        for engine in (box_enumerate, _vbox_enumerate):
+            assert (point in engine(D, S1, S2)) == inside, (engine.__name__, S1, S2)
+
+
+def _unit(cert):
+    """The fundamental unit eps = p_{s-1} + q_{s-1}*sqrt(D) of cert's field."""
+    from quadcert.contfrac import convergents, expand_sqrt
+
+    e = expand_sqrt(cert.D)
+    last = convergents(e, e.s)[e.s - 1]
+    eps = QuadElem(cert.D, last.p, last.q)
+    assert eps.norm() == 1  # an even period: eps is totally positive
+    return eps
+
+
+@pytest.mark.parametrize("cert", ["cert_m2", "cert_m3"])
+def test_planted_violators_at_certificate_scale(cert, request):
+    """Pairs with known violators at the M = 2 and M = 3 fields (972- and
+    8741-bit D).  Each witness alpha planted as the pair (alpha, alpha):
+    4*alpha^2 = (2*alpha)^2.  And (alpha, eps^2*alpha) for the fundamental
+    unit eps, whose violator 2*eps*alpha lies far out along the box's long
+    axis: for every M = 2 witness and the first M = 3 one (about 1.4 s).
+    Boxes just inside and outside 2*alpha, and 2*eps*alpha at M = 2; at
+    M = 3 those take 7 s and run with -m slow."""
     cert = request.getfixturevalue(cert)
     D = cert.D
+    eps = _unit(cert)
     for a in cert.witness_set.witnesses:
-        want = {a, -a, 2 * a, -2 * a}
-        assert set(pair_refute(D, a, a).violators) == want
-        beta = 4 * a * a
-        assert {QuadElem(D, *c) for c in _v_violators(D, beta.a, beta.b)} == want
-        # 2*alpha = 2p + 2q*sqrt(D) in {1, omega} coordinates; alpha is
-        # totally positive, and sigma_2(2*alpha) >= 1/p since |N(alpha)| >= 1
-        p, q = a.a, a.b
-        point = (2 * p - 2 * q, 4 * q) if D % 4 == 1 else (2 * p, 2 * q)
-        assert coords_to_elem(D, *point) == 2 * a
-        e = p.bit_length() + 64
-        lo1 = Fraction(_floor_pair(2 * p << e, 2 * q << e, 1, D), 1 << e)
-        lo2 = Fraction(_floor_pair(2 * p << e, -2 * q << e, 1, D), 1 << e)
-        hi1, hi2 = lo1 + Fraction(1, 1 << e), lo2 + Fraction(1, 1 << e)
-        assert lo2 > 0
-        for S1, S2, inside in ((hi1, hi2, True), (lo1, hi2, False), (hi1, lo2, False)):
-            for engine in (box_enumerate, _vbox_enumerate):
-                assert (point in engine(D, S1, S2)) == inside, (engine.__name__, S1, S2)
+        _assert_planted(D, a, a, 2 * a)
+        _assert_boxes_around(D, 2 * a)
+    for a in cert.witness_set.witnesses[:None if cert.M == 2 else 1]:
+        _assert_planted(D, a, eps * eps * a, 2 * eps * a)
+        if cert.M == 2:
+            _assert_boxes_around(D, 2 * eps * a)
+
+
+@pytest.mark.slow
+def test_boxes_around_a_planted_unit_violator_at_m3(cert_m3):
+    """The boxes just inside and outside 2*eps*alpha for the first M = 3
+    witness: each generator box costs about 2 s in isqrt on operands of
+    some 35,000 bits."""
+    a = cert_m3.witness_set.witnesses[0]
+    _assert_boxes_around(cert_m3.D, 2 * _unit(cert_m3) * a)

@@ -25,6 +25,7 @@ from quadcert.qarith import (
     _perfect_power_root,
     _trial_square_scan,
     format_elem,
+    from_decimal,
     is_prime_proved,
     is_square,
     isqrt,
@@ -32,9 +33,33 @@ from quadcert.qarith import (
     squarefree_status,
     succ,
     succeq,
+    to_decimal,
 )
 
 NONSQUARE_D = [2, 3, 5, 6, 7, 10, 13, 61, 94, 9973]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
+def test_decimal_conversions_under_the_least_int_str_limit():
+    """Under a 640-digit int/str limit, the least Python allows, to_decimal
+    and from_decimal give the text and the value they give under the
+    default limit, and refuse what int() refuses."""
+    rng = random.Random(640)
+    values = [0, -7, 10 ** 640, 10 ** 641 - 1, -rng.getrandbits(2126), rng.getrandbits(30_000)]
+    texts = [to_decimal(v) for v in values]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert [to_decimal(v) for v in values] == texts
+        assert [from_decimal(t) for t in texts] == values
+        assert from_decimal(" +1_000 ") == 1000  # short text: int()'s own grammar
+        assert from_decimal(" " * 1000 + "5") == 5
+        assert from_decimal(" -" + "0" * 700 + "9" * 700) == 1 - 10 ** 700
+        for bad in ("12a", "1" * 700 + "x", "--5", ""):
+            with pytest.raises(ValueError):
+                from_decimal(bad)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_norm_examples():
@@ -309,6 +334,40 @@ def test_planted_square_in_each_kind_of_stored_segment(bits, where):
         _SEGMENT_BLOCKS.update(state())
         got.append(_trial_square_scan(n, DEFAULT_TRIAL_BOUND))
     assert got == [want] * 3
+
+
+@pytest.mark.parametrize("state", list(_TABLE_STATES))
+def test_square_in_the_first_segment_ends_the_scan_there(state, monkeypatch):
+    """Runs of segments start at one: a square of a first-segment prime, how
+    the M = 2 k-search rejects most candidates, ends the scan after that
+    segment's gcd, with the first segment its only one sieved or reduced."""
+    from quadcert import qarith
+
+    n = 9 * _P62 * _ABOVE_BOUND ** 38  # about 972 bits
+    _SEGMENT_BLOCKS.clear()
+    _SEGMENT_BLOCKS.update(_TABLE_STATES[state]())
+    sieved, folded = [], []
+    sieve, fold = qarith._sieve_segment, qarith._fold_mod
+    monkeypatch.setattr(qarith, "_sieve_segment", lambda lo, *a: sieved.append(lo) or sieve(lo, *a))
+    monkeypatch.setattr(qarith, "_fold_mod", lambda *a: folded.append(1) or fold(*a))
+    assert _trial_square_scan(n, DEFAULT_TRIAL_BOUND) == (0, 3, n // 3)
+    assert set(sieved) == {3} and len(folded) <= 1
+
+
+@pytest.mark.parametrize("state", list(_TABLE_STATES))
+def test_two_squares_in_one_run_of_segments(state):
+    """Squares of primes from segments 40 and 50, both in the run of 32
+    segments from 31, and single primes in segments 35 and 45 and past the
+    second square: the run's one gcd walks its segments in order, so the
+    smaller square is the witness, and the cofactor is n with the single
+    prime before it and the witness divided out once."""
+    at = [_next_prime(3 + 2 * _SIEVE_SEGMENT * i + 999) for i in (35, 40, 45, 50, 55)]
+    single1, p, single2, q, single3 = at
+    body = _P62 * _ABOVE_BOUND ** 38
+    n = body * single1 * p * p * single2 * q * q * single3
+    _SEGMENT_BLOCKS.clear()
+    _SEGMENT_BLOCKS.update(_TABLE_STATES[state]())
+    assert _trial_square_scan(n, DEFAULT_TRIAL_BOUND) == (0, p, n // (single1 * p))
 
 
 @given(

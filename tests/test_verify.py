@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from quadcert import _kernels, qarith, verify
 from quadcert.certify import build_certificate
 from quadcert.latbox import box_enumerate
-from quadcert.qarith import to_decimal
+from quadcert.qarith import from_decimal, to_decimal
 from quadcert.qd import QD
 from quadcert.verify import MalformedCertificate, Verdict, verify_certificate
 
@@ -334,7 +334,7 @@ def test_malformed_beyond_digit_limit(cert_m1, mutate):
 
 
 def test_decimal_round_trip_past_the_str_limit():
-    """The generator's writer and the verifier's parser take 30,000 digits,
+    """The generator's writer and reader and the verifier's parser take 30,000 digits,
     past Python's default 4300-digit int/str limit, and agree with a
     chunked Horner reference."""
     rng = random.Random(30_000)
@@ -348,7 +348,7 @@ def test_decimal_round_trip_past_the_str_limit():
             want = want * 10 ** len(chunk) + int(chunk)
         want = -want if text.startswith("-") else want
         assert verify._int(text, "field") == want
-        assert to_decimal(want) == text
+        assert to_decimal(want) == text and from_decimal(text) == want
     # at the cap itself a field still parses
     assert verify._int("7" * verify.MAX_DIGITS, "field") % 10 ** 6 == 777_777
 
