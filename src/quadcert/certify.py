@@ -34,13 +34,14 @@ from .qarith import (
     SquarefreeUndetermined,
     check_trial_bound,
     format_elem,
+    from_decimal,
     isqrt,
     parse_elem,
     squarefree_status,
     succeq,
     to_decimal,
 )
-from .qd import QD, frac_sqrt_outer, sqrt_in_field
+from .qd import QD, _sign_pair, frac_sqrt_outer, sqrt_in_field
 
 CERT_VERSION = 1
 
@@ -460,6 +461,30 @@ def totally_positive_up_to(D: int, trace_bound: int) -> List[QuadElem]:
     return out
 
 
+def _coordinate_box(tgt: QD, entry: QD) -> Tuple[Fraction, Fraction]:
+    """Outer (S1, S2) on the coordinate t with (B^-1)_tt = entry:
+    sigma_h(x_t)^2 <= sigma_h(target * entry), h = 1, 2."""
+    th1 = (tgt * entry).upper_frac(24)
+    th2 = (tgt.conj() * entry.conj()).upper_frac(24)
+    return (frac_sqrt_outer(max(th1, Fraction(0)), 24),
+            frac_sqrt_outer(max(th2, Fraction(0)), 24))
+
+
+def _box_candidates(D: int, box: Tuple[Fraction, Fraction]) -> List[Tuple[QuadElem, QD]]:
+    """The box's elements c = (A + y*sqrt(D))/den as (QuadElem, QD) pairs,
+    sorted by trace(c^2) = 2(A^2 + D*y^2)/den^2, ties on the QuadElem's
+    (a, b).  den is fixed per field, so A^2 + D*y^2 is the key."""
+    half = D % 4 == 1
+    den = 2 if half else 1
+    rows = []
+    for x, y in box_enumerate(D, *box):
+        A = 2 * x + y if half else x
+        c = QuadElem(D, A, y, den)
+        rows.append((A * A + D * y * y, c.a, c.b, c, QD(D, A, y, den)))
+    rows.sort(key=lambda r: r[:3])
+    return [r[3:] for r in rows]
+
+
 def decide_represent(form: QuadraticForm, target: QuadElem) -> RepresentResult:
     """Exhaustive decision of Q(v) = target over O_K^n.
 
@@ -467,10 +492,12 @@ def decide_represent(form: QuadraticForm, target: QuadElem) -> RepresentResult:
     eliminating from the last coordinate) does all the work.  Its pivots
     decide total positive definiteness.  The coordinate boxes come from the
     diagonal of B^-1 read off it, per embedding: sigma_h(x_t)^2 <=
-    sigma_h(target) * (B^(h)^-1)_tt, outer-rounded.  The depth-first search
-    adds one term d_t (x_t + l_t)^2 per node to the partial sum P and prunes
-    when target - P is not totally nonnegative; the last coordinate is
-    solved as x = +-sqrt(4 d (target - P))/(2 d) - l rather than enumerated.
+    sigma_h(target) * (B^(h)^-1)_tt, outer-rounded; equal diagonal entries
+    share one box.  The depth-first search carries the residual R = target -
+    sum_{j<t} d_j (x_j + l_j)^2, subtracts one term d_t (x_t + l_t)^2 per
+    node and prunes when the rest is not totally nonnegative; the last
+    coordinate is solved as x = +-sqrt(4 d R)/(2 d) - l rather than
+    enumerated.
     """
     D = form.D
     if target.D != D:
@@ -483,34 +510,30 @@ def decide_represent(form: QuadraticForm, target: QuadElem) -> RepresentResult:
     U, d, binv = factor
     n = form.n
     tgt = _elem_to_qd(target)
-    # per-coordinate boxes
-    def coordinate_box(t: int) -> Tuple[Fraction, Fraction]:
-        th1 = (tgt * binv[t]).upper_frac(24)
-        th2 = (tgt.conj() * binv[t].conj()).upper_frac(24)
-        return (frac_sqrt_outer(max(th1, Fraction(0)), 24),
-                frac_sqrt_outer(max(th2, Fraction(0)), 24))
-
-    # coordinates with the same box share one enumeration (and one list)
+    # coordinates with the same B^-1 entry, or else the same box, share one
+    # enumeration (and one list)
+    by_entry: Dict[Tuple[int, int, int], List[Tuple[QuadElem, QD]]] = {}
     by_box: Dict[Tuple[Fraction, Fraction], List[Tuple[QuadElem, QD]]] = {}
     candidates: List[List[Tuple[QuadElem, QD]]] = []
-    for t in range(n):
-        box = coordinate_box(t)
-        if box not in by_box:
-            elems = [coords_to_elem(D, x, y) for x, y in box_enumerate(D, *box)]
-            elems.sort(key=lambda c: ((c * c).trace(), c.a, c.b))
-            by_box[box] = [(c, _elem_to_qd(c)) for c in elems]
-        candidates.append(by_box[box])
+    for entry in binv:
+        key = (entry.a, entry.b, entry.q)
+        if key not in by_entry:
+            box = _coordinate_box(tgt, entry)
+            if box not in by_box:
+                by_box[box] = _box_candidates(D, box)
+            by_entry[key] = by_box[box]
+        candidates.append(by_entry[key])
 
     nodes = 0
 
-    def dfs(t: int, head: List[Tuple[QuadElem, QD]], P: QD):
+    def dfs(t: int, head: List[Tuple[QuadElem, QD]], R: QD):
         nonlocal nodes
         l = sum((U[j][t] * head[j][1] for j in range(t)), QD(D, 0))
         if t == n - 1:
             nodes += 1
-            # 4 d (target - P) is the discriminant of Q(head, x) = target in x;
-            # which of its two roots sqrt_in_field returns fixes the vector
-            root = sqrt_in_field((tgt - P) * d[t] * 4)
+            # 4 d R is the discriminant of Q(head, x) = target in x; which
+            # of its two roots sqrt_in_field returns fixes the vector
+            root = sqrt_in_field(R * d[t] * 4)
             if root is None:
                 return None
             for rt in (root, -root):
@@ -523,21 +546,20 @@ def decide_represent(form: QuadraticForm, target: QuadElem) -> RepresentResult:
         for cand in candidates[t]:
             nodes += 1
             z = cand[1] + l
-            Pc = P + d[t] * z * z
-            rem = tgt - Pc
-            if rem.sign() < 0 or rem.conj().sign() < 0:
+            rem = R - d[t] * z * z
+            if _sign_pair(rem.a, rem.b, D) < 0 or _sign_pair(rem.a, -rem.b, D) < 0:
                 continue
-            got = dfs(t + 1, head + [cand], Pc)
+            got = dfs(t + 1, head + [cand], rem)
             if got is not None:
                 return got
         return None
 
-    vec = dfs(0, [], QD(D, 0))
+    vec = dfs(0, [], tgt)
     counts = tuple(len(c) for c in candidates)
     if vec is not None:
         return RepresentResult("found", vec, counts, nodes)
     # recompute the exhaustion bounds before declaring impossibility
-    recheck = tuple(len(box_enumerate(D, *coordinate_box(t))) for t in range(n))
+    recheck = tuple(len(box_enumerate(D, *_coordinate_box(tgt, entry))) for entry in binv)
     assert recheck == counts
     return RepresentResult("impossible", None, counts, nodes)
 
@@ -600,7 +622,7 @@ def parse_form(text: str, D: int) -> QuadraticForm:
         if not coef_text:
             c = QuadElem(D, 1, 0)
         elif re.fullmatch(r"[+-]?\d+", coef_text):
-            c = QuadElem(D, int(coef_text), 0)
+            c = QuadElem(D, from_decimal(coef_text), 0)
         else:
             # compound coefficients must be parenthesized to survive term
             # splitting; a bare "(...)" wrapper is not part of the element

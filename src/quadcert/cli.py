@@ -71,6 +71,15 @@ def _count(text: str) -> int:
     return n
 
 
+def _decimal(text: str) -> int:
+    """An integer argument at any length: from_decimal reads past the
+    int/str limit."""
+    return from_decimal(text)
+
+
+_decimal.__name__ = "int"  # argparse's usage errors name the type: "invalid int value"
+
+
 def _parse_krange(text: str):
     lo, _, hi = text.partition("..")
     return from_decimal(lo), from_decimal(hi)
@@ -286,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cf", help="continued fraction of sqrt(D)")
-    p.add_argument("D", type=int)
+    p.add_argument("D", type=_decimal)
     p.add_argument("--terms", type=_count, default=0)
     p.set_defaults(fn=cmd_cf)
 
@@ -312,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-search", type=int, default=64, dest="k_search")
     p.add_argument("--squarefree", action=_SquarefreeMode, default=None,
                    metavar="exact|probable:B")
-    p.add_argument("--force-D", type=int, default=None, dest="force_D",
+    p.add_argument("--force-D", type=_decimal, default=None, dest="force_D",
                    help="skip construction; certify this field (negative controls)")
     p.add_argument("--indices", default=None, help="comma-separated odd witness indices")
     p.add_argument("-o", "--output", default=None)
@@ -323,25 +332,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("smallnorm", help="enumerate small-norm elements and audit")
-    p.add_argument("D", type=int)
+    p.add_argument("D", type=_decimal)
     p.add_argument("--bound", choices=("half", "eighth"), default="half")
     p.add_argument("--y-max", type=int, default=100, dest="y_max")
     p.set_defaults(fn=cmd_smallnorm)
 
     p = sub.add_parser("power-trace", help="alpha_i^m location among convergents")
-    p.add_argument("D", type=int)
+    p.add_argument("D", type=_decimal)
     p.add_argument("i", type=int)
     p.add_argument("m", type=int)
     p.set_defaults(fn=cmd_power_trace)
 
     p = sub.add_parser("represent", help="decide representability of a target")
-    p.add_argument("D", type=int)
+    p.add_argument("D", type=_decimal)
     p.add_argument("--form", required=True)
     p.add_argument("--target", required=True)
     p.set_defaults(fn=cmd_represent)
 
     p = sub.add_parser("tp-list", help="totally positive integers up to a trace bound")
-    p.add_argument("D", type=int)
+    p.add_argument("D", type=_decimal)
     p.add_argument("--trace", type=int, required=True)
     p.set_defaults(fn=cmd_tp_list)
 

@@ -147,6 +147,11 @@ def box_enumerate_gauss(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, i
             B0 = (B0[0] - mu * A[0], B0[1] - mu * A[1])
         if not less(C, A):
             break
+    # the basis is reduced (|2 B0| <= A <= C), so u is a shortest nonzero
+    # vector: if F(u) = A/L > 2, the ellipse F <= 2 around the box holds
+    # only the origin, which is what the walk would return
+    if _sign_pair(A[0] - 2 * L, A[1], D) > 0:
+        return [(0, 0)]
     # L^2 * det; rational, = L^2 (omega - omega')^2 / (S1 S2)^2
     det = (A[0] * C[0] + A[1] * C[1] * D - B0[0] * B0[0] - B0[1] * B0[1] * D,
            A[0] * C[1] + A[1] * C[0] - 2 * B0[0] * B0[1])

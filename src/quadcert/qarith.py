@@ -234,13 +234,14 @@ def parse_elem(text: str, D: Optional[int] = None) -> QuadElem:
     m = _ELEM_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse element: {text!r}")
-    a = int(m.group("a")) if m.group("a") is not None else 0
+    a = from_decimal(m.group("a")) if m.group("a") is not None else 0
     if m.group("D") is not None:
-        d_found = int(m.group("D"))
+        d_found = from_decimal(m.group("D"))
         if D is not None and d_found != D:
-            raise ValueError(f"element is over sqrt({d_found}), expected sqrt({D})")
+            raise ValueError(f"element is over sqrt({to_decimal(d_found)}), "
+                             f"expected sqrt({to_decimal(D)})")
         D = d_found
-        b = int(m.group("b")) if m.group("b") is not None else 1
+        b = from_decimal(m.group("b")) if m.group("b") is not None else 1
         if m.group("sgn") == "-":
             b = -b
     else:

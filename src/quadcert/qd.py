@@ -89,7 +89,8 @@ class QD:
         return QD(self.D, -self.a, -self.b, self.q)
 
     def __sub__(self, other):
-        return self + (-QD.of(self.D, other))
+        o = QD.of(self.D, other)
+        return QD(self.D, self.a * o.q - o.a * self.q, self.b * o.q - o.b * self.q, self.q * o.q)
 
     def __mul__(self, other):
         o = QD.of(self.D, other)

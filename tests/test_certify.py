@@ -391,6 +391,20 @@ def test_decide_represent_factors_each_form_once(monkeypatch):
         == (tuple(map(tuple, U)), tuple(d), tuple(_inverse_diagonal(U, d)))
 
 
+def test_c8_target_computes_one_box(monkeypatch):
+    """Every coordinate of the C8 form has the B^-1 diagonal entry 4/3, so
+    each target computes one coordinate box and enumerates it once."""
+    boxes, enums = [], []
+    real_box, real_enum = certify._coordinate_box, certify.box_enumerate
+    monkeypatch.setattr(certify, "_coordinate_box", lambda *a: boxes.append(a) or real_box(*a))
+    monkeypatch.setattr(certify, "box_enumerate", lambda *a: enums.append(a) or real_enum(*a))
+    f = parse_form("x1^2 + x1 x2 + x2^2 + x3^2 + x3 x4 + x4^2", 5)
+    for k, target in enumerate(totally_positive_up_to(5, 10), 1):
+        r = decide_represent(f, target)
+        assert r.status == "found" and len(r.candidates_per_coordinate) == 4
+        assert (len(boxes), len(enums)) == (k, k)
+
+
 def test_decide_represent_sum_two_squares():
     f = parse_form("x1^2 + x2^2", 2)
     r = decide_represent(f, QuadElem(2, 4, 2))  # (1+sqrt2)^2 + 1^2 = 4+2sqrt2
@@ -591,29 +605,40 @@ def _reference_decide(form: QuadraticForm, target: QuadElem) -> RepresentResult:
     return RepresentResult("found" if vec else "impossible", vec, counts, nodes)
 
 
-REFERENCE_FIELDS = (2, 5, 13)
+REFERENCE_FIELDS = (2, 3, 5, 6, 7, 13)
 
 
 @st.composite
 def small_forms(draw):
-    """1- to 3-ary forms with small, often irrational, coefficients."""
+    """1- to 4-ary forms with small, often irrational, coefficients: either
+    any such form, or two copies of one block beside an optional other
+    block, so that the diagonal of B^-1 repeats entries next to distinct
+    ones (coordinates with equal entries share one box)."""
     D = draw(st.sampled_from(REFERENCE_FIELDS))
-    n = draw(st.integers(1, 3))
-    coeffs = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            den = draw(st.sampled_from([1, 2] if D % 4 == 1 else [1]))
-            b = draw(st.integers(-1, 1))
-            if i == j:
-                a = draw(st.integers(1, 6)) * den
-            else:
-                a = draw(st.integers(-2, 2)) * den
-            if den == 2:
-                a, b = a + 1, 2 * b + 1  # a half-integral element of O_K
-            c = QuadElem(D, a, b, den)
-            if c.a or c.b:
-                coeffs.append((i, j, c))
-    form = QuadraticForm(D=D, n=n, coeffs=tuple(coeffs))
+
+    def coefficient(diagonal):
+        den = draw(st.sampled_from([1, 2] if D % 4 == 1 else [1]))
+        b = draw(st.integers(-1, 1))
+        a = draw(st.integers(1, 6) if diagonal else st.integers(-2, 2)) * den
+        if den == 2:
+            a, b = a + 1, 2 * b + 1  # a half-integral element of O_K
+        return QuadElem(D, a, b, den)
+
+    def block(k):
+        return {(i, j): coefficient(i == j) for i in range(1, k + 1) for j in range(i, k + 1)}
+
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        entries = list(block(n).items())
+    else:
+        k = draw(st.integers(1, 2))
+        twin = block(k)
+        entries = [((i + s, j + s), c) for s in (0, k) for (i, j), c in twin.items()]
+        if k == 1 and draw(st.booleans()):
+            entries += [((i + 2, j + 2), c) for (i, j), c in block(draw(st.integers(1, 2))).items()]
+        n = max(j for (_, j), _ in entries)
+    coeffs = tuple((i, j, c) for (i, j), c in entries if c.a or c.b)
+    form = QuadraticForm(D=D, n=n, coeffs=coeffs)
     target = draw(st.sampled_from(totally_positive_up_to(D, 10)))
     return form, target
 

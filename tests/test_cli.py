@@ -386,17 +386,33 @@ def _stdout_at_both_limits(argv) -> bytes:
     return runs[0].stdout
 
 
+# a 701-digit D, past the least int/str limit
+LONG_D = "1" + "0" * 699 + "1"
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["cf", "199999"], id="cf"),
     pytest.param(_m3_search_argv(), id="friesen-search"),
     pytest.param(_m3_search_argv("--json"), id="friesen-search-json"),
+    pytest.param(["tp-list", LONG_D, "--trace", "4"], id="tp-list-long-D"),
+    pytest.param(["represent", LONG_D, "--form", "x1^2 + x2^2", "--target", "2"],
+                 id="represent-long-D"),
 ])
 def test_cli_prints_past_a_lowered_int_str_limit(argv):
     """A command whose input and output hold integers of more than 640
-    digits (the M = 3 sequence and k, the convergents of sqrt(199999))
-    prints the same bytes under a 640-digit int/str limit."""
+    digits (the M = 3 sequence and k, the convergents of sqrt(199999), a
+    701-digit D) prints the same bytes under a 640-digit int/str limit."""
     out = _stdout_at_both_limits(argv)
     assert max(map(len, re.findall(rb"[0-9]+", out))) > 640
+
+
+def test_d_arguments_keep_the_int_usage_error(capsys):
+    """D arguments read any length, yet a D that is not an integer is still
+    argparse's usage error naming the int type."""
+    for bad, argv in (("x", ["cf", "x"]), ("1.5", ["tp-list", "1.5", "--trace", "4"]),
+                      ("13a", ["certify", "-M", "1", "--force-D", "13a"])):
+        assert main(argv) == 2
+        assert f"invalid int value: {bad!r}" in capsys.readouterr().err
 
 
 def test_verify_past_a_lowered_int_str_limit(tmp_path, cert_m3):

@@ -118,9 +118,14 @@ def test_floor_helpers_match_reference(D, a, b, r, c, d):
 @st.composite
 def scan_boxes(draw):
     """Boxes the y-scan accepts: generic ones in both D classes, C8-sized
-    ones over Q(sqrt(5)), and thin ones whose y-range is near YSCAN_LIMIT."""
-    kind = draw(st.sampled_from(["generic", "c8", "thin"]))
-    if kind == "generic":
+    ones over Q(sqrt(5)), sub-unit ones that the Gauss engine answers at its
+    shortest-vector exit, and thin ones whose y-range is near YSCAN_LIMIT."""
+    kind = draw(st.sampled_from(["generic", "c8", "sub-unit", "thin"]))
+    if kind == "sub-unit":
+        D = draw(st.sampled_from(FIELDS))
+        S1 = Fraction(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+        S2 = Fraction(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    elif kind == "generic":
         D = draw(st.sampled_from(FIELDS))
         S1 = Fraction(draw(st.integers(1, 400)), draw(st.integers(1, 9)))
         S2 = Fraction(draw(st.integers(1, 25)), draw(st.integers(1, 40)))
@@ -263,6 +268,47 @@ def test_degenerate_windows_match_scan(D):
     assert box_enumerate_scan(D, Fraction(0), Fraction(-1)) == []
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """The boxes the engines walk: box_enumerate_gauss builds its membership
+    test only past the shortest-vector exit (the y-scan always builds one)."""
+    seen = []
+    real = latbox._in_box
+    monkeypatch.setattr(latbox, "_in_box", lambda *box: seen.append(box) or real(*box))
+    return seen
+
+
+def test_shortest_vector_exit(walks):
+    """Sub-unit boxes whose reduced first vector u has F(u) > 2 return the
+    origin without the walk.  The box S1 = 1/2, S2 = 5/2 over Q(sqrt(2)) has
+    F = 4 + 4/25 > 2 on the unreduced first vector 1, yet holds
+    +-(sqrt(2) - 1) at F < 2: the exit must wait for the reduced basis."""
+    for D, S1, S2 in ((5, Fraction(1, 3), Fraction(1, 3)), (2, Fraction(1, 2), Fraction(1, 2)),
+                      (13, Fraction(1, 4), Fraction(3, 2))):
+        assert box_enumerate_gauss(D, S1, S2) == [(0, 0)]
+        assert walks == []
+        assert box_enumerate_scan(D, S1, S2) == [(0, 0)]
+        walks.clear()
+    box = (2, Fraction(1, 2), Fraction(5, 2))
+    assert box_enumerate_gauss(*box) == [(-1, 1), (0, 0), (1, -1)]
+    assert walks == [box]
+    assert box_enumerate_scan(*box) == [(-1, 1), (0, 0), (1, -1)]
+
+
+@pytest.mark.parametrize("cert", ["cert_m2", "cert_m3"])
+def test_certificate_pair_boxes_leave_at_the_exit(cert, request, walks):
+    """Every pair box of the M = 2 and M = 3 certificates is answered by
+    the shortest-vector exit, and the pair checks are the certificate's."""
+    from quadcert.certify import pair_refute
+
+    cert = request.getfixturevalue(cert)
+    ws = cert.witness_set
+    checks = [pair_refute(cert.D, a, b, i=i, j=j)
+              for (i, a), (j, b) in combinations(zip(ws.indices, ws.witnesses), 2)]
+    assert walks == []
+    assert checks == list(cert.pair_checks)
+
+
 def test_box_membership_is_exact():
     for D, S1, S2 in ((13, Fraction(30), Fraction(4)), (7, Fraction(25), Fraction(7, 2))):
         pts = set(box_enumerate(D, S1, S2))
@@ -384,16 +430,19 @@ def test_generation_and_verifier_enumerations_agree():
             assert got == want, (D, i, j)
 
 
-def _assert_planted(D, a, b, c):
+def _assert_planted(D, a, b, c, walks):
     """4ab = c^2 with c totally positive: both engines find exactly the
-    violators +-c/2 and +-c of the pair (a, b)."""
+    violators +-c/2 and +-c of the pair (a, b), and the generator's box is
+    walked, not answered at the shortest-vector exit."""
     from quadcert.certify import pair_refute
     from quadcert.verify import _v_violators
 
     assert 4 * a * b == c * c and c.is_totally_positive()
     half = QuadElem(D, c.a, c.b, 2 * c.den)
     want = {half, -half, c, -c}
+    walked = len(walks)
     assert set(pair_refute(D, a, b).violators) == want
+    assert len(walks) == walked + 1
     beta = 4 * a * b
     assert {QuadElem(D, *v) for v in _v_violators(D, beta.a, beta.b)} == want
 
@@ -429,7 +478,7 @@ def _unit(cert):
 
 
 @pytest.mark.parametrize("cert", ["cert_m2", "cert_m3"])
-def test_planted_violators_at_certificate_scale(cert, request):
+def test_planted_violators_at_certificate_scale(cert, request, walks):
     """Pairs with known violators at the M = 2 and M = 3 fields (972- and
     8741-bit D).  Each witness alpha planted as the pair (alpha, alpha):
     4*alpha^2 = (2*alpha)^2.  And (alpha, eps^2*alpha) for the fundamental
@@ -441,10 +490,10 @@ def test_planted_violators_at_certificate_scale(cert, request):
     D = cert.D
     eps = _unit(cert)
     for a in cert.witness_set.witnesses:
-        _assert_planted(D, a, a, 2 * a)
+        _assert_planted(D, a, a, 2 * a, walks)
         _assert_boxes_around(D, 2 * a)
     for a in cert.witness_set.witnesses[:None if cert.M == 2 else 1]:
-        _assert_planted(D, a, eps * eps * a, 2 * eps * a)
+        _assert_planted(D, a, eps * eps * a, 2 * eps * a, walks)
         if cert.M == 2:
             _assert_boxes_around(D, 2 * eps * a)
 

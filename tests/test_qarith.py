@@ -62,6 +62,30 @@ def test_decimal_conversions_under_the_least_int_str_limit():
         sys.set_int_max_str_digits(old)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
+def test_elements_parse_under_the_least_int_str_limit():
+    """parse_elem reads a, b and D through from_decimal, and parse_form its
+    integer coefficients, so 700-digit elements and forms parse under a
+    640-digit limit as they do under the default one."""
+    from quadcert.certify import parse_form
+
+    D = 10 ** 700 + 1
+    xs = [QuadElem(D, 3 * 10 ** 700 + 1, 10 ** 650 + 1, 2), QuadElem(D, -10 ** 705, 7),
+          QuadElem(D, 10 ** 700, 0)]
+    texts = [format_elem(x) for x in xs]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert [parse_elem(t) for t in texts] == xs
+        assert parse_elem(to_decimal(10 ** 700), D) == xs[2]
+        with pytest.raises(ValueError, match="expected sqrt"):
+            parse_elem(texts[0], D + 4)
+        form = parse_form(f"{to_decimal(10 ** 700)} x1^2 - 3 x1 x2", 5)
+        assert form.coeff(1, 1) == QuadElem(5, 10 ** 700, 0)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_norm_examples():
     assert QuadElem(2, 1, 1).norm() == -1
     assert QuadElem(5, 1, 1, 2).norm() == -1
