@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .contfrac import SurdExpansion, convergents, expand_sqrt
 from .friesen import SymSequence, admissible_k, construct_sequence, derive_D
-from .latbox import box_enumerate, coords_to_elem, sqrt_embedding_bounds
+from .latbox import box_enumerate, coords_to_elem, elem_to_coords, sqrt_embedding_bounds
 from .qarith import (
     DEFAULT_TRIAL_BOUND,
     QuadElem,
@@ -114,8 +114,8 @@ class PairCheck:
     violators: Tuple[QuadElem, ...]
 
 
-def _box_violators(D: int, beta: QuadElem, S1: Fraction, S2: Fraction):
-    pts = box_enumerate(D, S1, S2)
+def _box_violators(D: int, beta: QuadElem, S1: Fraction, S2: Fraction, start: Tuple[int, int]):
+    pts = box_enumerate(D, S1, S2, start)
     assert (0, 0) in pts, "origin must always be a candidate"
     violators = []
     for x, y in pts:
@@ -132,9 +132,11 @@ def pair_refute(D: int, a: QuadElem, b: QuadElem, i: int = -1, j: int = -1) -> P
     """Exhaustively enumerate c in O_K with sigma_h(c)^2 <= sigma_h(4ab), h = 1, 2.
 
     Returns every nonzero c with 4ab ⪰ c^2 (the equality branch counts).
-    The box is enumerated once; the independent verifier re-enumerates it
-    with its own engine, and `quadcert certify` runs that verifier before
-    it writes a certificate.
+    The box is enumerated once, its reduction started from b: in the
+    certificate pairs b is the larger witness, which is the box's shortest
+    vector.  The independent verifier re-enumerates the box with its own
+    engine, and `quadcert certify` runs that verifier before it writes a
+    certificate.
     """
     if a.D != D or b.D != D:
         raise ValueError("witness field mismatch")
@@ -142,7 +144,7 @@ def pair_refute(D: int, a: QuadElem, b: QuadElem, i: int = -1, j: int = -1) -> P
         raise ValueError("pair_refute needs totally positive inputs")
     beta = a * b * 4
     S1, S2 = sqrt_embedding_bounds(beta)
-    tested, violators = _box_violators(D, beta, S1, S2)
+    tested, violators = _box_violators(D, beta, S1, S2, elem_to_coords(b))
     return PairCheck(i=i, j=j, beta=beta, s1_bound=S1, s2_bound=S2,
                      candidates_tested=tested, violators=violators)
 

@@ -12,8 +12,11 @@ denominator per box, so the reduction and the line walk take no gcd: every
 comparison is an integer sign test and every floor one isqrt and one
 floor division.  The reduction is a unimodular change of basis and every
 bound is an outer bound, so completeness does not depend on how good the
-reduction is.  The certificate pair boxes are astronomically skewed
-(y-ranges ~2^67 with sub-unit widths); this engine visits O(1) candidates.
+reduction is, nor on where it starts: a caller may pass a lattice point to
+start from.  The certificate pair boxes are astronomically skewed (y-ranges
+~2^67 with sub-unit widths).  Started from the larger witness, each is
+reduced in one step, and its shortest vector lies outside F <= 2, so the
+engine returns the origin without walking.
 
 `box_enumerate_scan` walks y and intersects the two x-intervals, each bound
 one `_floor_pair` on integers.  It is independent of the reduction and
@@ -27,7 +30,8 @@ membership test on integers; callers apply their own exact predicates on top.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, Tuple
+from math import gcd
+from typing import Callable, List, Optional, Tuple
 
 from .qarith import QuadElem, isqrt
 from .qd import _floor_pair, _sign_pair, frac_sqrt_outer
@@ -42,6 +46,14 @@ def coords_to_elem(D: int, x: int, y: int) -> QuadElem:
     if D % 4 == 1:
         return QuadElem(D, 2 * x + y, y, 2)
     return QuadElem(D, x, y, 1)
+
+
+def elem_to_coords(c: QuadElem) -> Tuple[int, int]:
+    """(x, y) with c = x + y*omega; the inverse of coords_to_elem."""
+    A, B = c.a * (2 // c.den), c.b * (2 // c.den)  # c = (A + B*sqrt(D))/2
+    if c.D % 4 == 1:
+        return (A - B) // 2, B
+    return A // 2, B // 2
 
 
 def box_enumerate_scan(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, int]]:
@@ -106,18 +118,36 @@ def _floor_quot(x: Tuple[int, int], y: Tuple[int, int], D: int) -> int:
                        ya * ya - yb * yb * D, D)
 
 
-def box_enumerate_gauss(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, int]]:
+def _start_basis(start: Optional[Tuple[int, int]]) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """A basis (u, v) of determinant 1 whose first vector is start divided by
+    the gcd of its coordinates, completed by the extended gcd; (1, omega)
+    when start is None or zero."""
+    if start is None or start == (0, 0):
+        return (1, 0), (0, 1)
+    g = gcd(*start)
+    a, b = start[0] // g, start[1] // g
+    if b == 0:
+        return (a, 0), (0, a)  # a = +-1
+    d = pow(a, -1, abs(b))  # a*d ≡ 1 (mod b), so a*d - b*c = 1 below
+    return (a, b), ((a * d - 1) // b, d)
+
+
+def box_enumerate_gauss(D: int, S1: Fraction, S2: Fraction,
+                        start: Optional[Tuple[int, int]] = None) -> List[Tuple[int, int]]:
     """Gauss-reduced Fincke-Pohst engine; complete for any box shape.
 
     With S_h = p_h/q_h the form is scaled by L = p1^2 p2^2 (4 L when
     D ≡ 1 mod 4), so every Gram entry is an integer pair (a, b) meaning
     (a + b*sqrt(D))/L and no gcd is taken in the reduction or the walk.
+    The reduction starts from the basis `_start_basis(start)`: a short
+    lattice point as start saves the steps from (1, omega) to it, and any
+    start gives the same list.
     """
     S1, S2 = Fraction(S1), Fraction(S2)
     p1, q1 = S1.numerator, S1.denominator
     p2, q2 = S2.numerator, S2.denominator
     # L*F(c) = al*sigma_1(c)^2 + be*sigma_2(c)^2; the Gram entries
-    # A = F(u), B0 = F(u, v), C = F(v) start at u = 1, v = omega
+    # A = F(u), B0 = F(u, v), C = F(v) at u = 1, v = omega
     al, be = (q1 * p2) ** 2, (q2 * p1) ** 2
     if D % 4 == 1:
         # 2*omega = 1 + sqrt(D), 4*omega^2 = 1 + D + 2*sqrt(D)
@@ -128,13 +158,21 @@ def box_enumerate_gauss(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, i
     else:
         L = (p1 * p2) ** 2
         A, B0, C = (al + be, 0), (0, al - be), ((al + be) * D, 0)
+    u, v = _start_basis(start)
+    if (u, v) != ((1, 0), (0, 1)):
+        G = A, B0, C
+
+        def gram(p, q):
+            s, t, w = p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[1] * q[1]
+            return tuple(G[0][h] * s + G[1][h] * t + G[2][h] * w for h in (0, 1))
+
+        A, B0, C = gram(u, u), gram(u, v), gram(v, v)
 
     def less(x: Tuple[int, int], y: Tuple[int, int]) -> bool:
         return _sign_pair(x[0] - y[0], x[1] - y[1], D) < 0
 
     # Lagrange/Gauss reduction, the Gram entries updated in place;
     # terminates because F(v) strictly decreases
-    u, v = (1, 0), (0, 1)
     while True:
         if less(C, A):
             u, v, A, C = v, u, C, A
@@ -182,17 +220,20 @@ def box_enumerate_gauss(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, i
     return out
 
 
-def box_enumerate(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, int]]:
+def box_enumerate(D: int, S1: Fraction, S2: Fraction,
+                  start: Optional[Tuple[int, int]] = None) -> List[Tuple[int, int]]:
     """All (x, y) with x + y*omega inside the embedding box, sorted.
 
-    A window S_h <= 0 admits at most c = 0, so it is answered without the
-    Gauss engine, which divides by S_h.
+    `start`, a lattice point in (x, y) coordinates, is where the Gauss
+    engine's reduction begins; it is never trusted.  A window S_h <= 0
+    admits at most c = 0, so it is answered without the Gauss engine, which
+    divides by S_h.
     """
     if S1 < 0 or S2 < 0:
         return []
     if S1 == 0 or S2 == 0:
         return [(0, 0)]
-    return box_enumerate_gauss(D, S1, S2)
+    return box_enumerate_gauss(D, S1, S2, start)
 
 
 # binary digits past the point in the sqrt_embedding_bounds windows

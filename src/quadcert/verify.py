@@ -7,10 +7,13 @@ are never trusted.  The enumeration here is a separate implementation from
 the generation side: dyadic integer intervals around sqrt(D) (integer
 endpoints over one power of two, no gcd) drive the reduction and the
 Fincke-Pohst bounds, and only the final membership/succeq filters use exact
-integer sign tests.  Shared with generation is nothing beyond the squarefree
-classifier, its trial-bound cap and, in one process, the classifier's table
-of prime block products, which depends only on the primes and never on D
-(D is always rescanned here); `latbox` and `qd` are not imported.
+integer sign tests.  Each pair box's reduction starts from the recomputed
+larger witness; when the intervals prove the reduced first vector longer
+than the ellipse around the box, the box holds only the origin.  Shared
+with generation is nothing beyond the squarefree classifier, its
+trial-bound cap and, in one process, the classifier's table of prime block
+products, which depends only on the primes and never on D (D is always
+rescanned here); `latbox` and `qd` are not imported.
 
 Checks run cheapest-first so that tampered certificates are rejected before
 the expensive squarefree recomputation.
@@ -24,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from typing import List, Optional, Tuple
 
 from .qarith import MAX_TRIAL_BOUND, SquarefreeUndetermined, squarefree_status
@@ -144,11 +147,13 @@ def _bits(x: Fraction) -> int:
     return x.numerator.bit_length() + x.denominator.bit_length()
 
 
-def _vbox_enumerate(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, int]]:
+def _vbox_enumerate(D: int, S1: Fraction, S2: Fraction,
+                    start: Optional[Tuple[int, int]] = None) -> List[Tuple[int, int]]:
     """All (x, y) with |sigma_h(x + y*omega)| <= S_h; interval-driven.
 
-    The reduction uses midpoint Gram values (any unimodular basis is valid);
-    the enumeration bounds use interval endpoints, so completeness never
+    The reduction uses midpoint Gram values and begins at the lattice point
+    `start`, or at (1, omega) (any unimodular basis is valid); the
+    enumeration bounds use interval endpoints, so completeness never
     depends on the approximation quality.  Precision starts at D's bit length
     and doubles; the M = 2 and M = 3 certificate boxes finish at one or two
     times D's bit length.  Four times the input size caps the work, and past
@@ -157,7 +162,7 @@ def _vbox_enumerate(D: int, S1: Fraction, S2: Fraction) -> List[Tuple[int, int]]
     cap = 4 * (D.bit_length() + _bits(S1) + _bits(S2)) + 256
     prec = max(96, D.bit_length())
     while True:
-        got = _vbox_attempt(D, S1, S2, prec)
+        got = _vbox_attempt(D, S1, S2, prec, start)
         if got is not None:
             return got
         if prec >= cap:
@@ -201,10 +206,25 @@ def _vbox_gram(D, S1, S2, prec):
     return (n1 * n2 * E) ** 2, (g11, g11), G12, G22
 
 
-def _vbox_attempt(D, S1, S2, prec):
+def _v_basis(start) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """(u, v) with u = start over the gcd of its coordinates and
+    u[0]*v[1] - u[1]*v[0] = 1; (1, 0), (0, 1) for no start or a zero one."""
+    if not start or not any(start):
+        return (1, 0), (0, 1)
+    g = gcd(start[0], start[1])
+    x, y = start[0] // g, start[1] // g
+    if x == 0:
+        return (0, y), (-y, 0)  # y = +-1
+    # y*t ≡ -1 (mod x) from the extended gcd, then x*s - y*t = 1
+    t = -pow(y, -1, abs(x))
+    return (x, y), (t, (1 + y * t) // x)
+
+
+def _vbox_attempt(D, S1, S2, prec, start=None):
     """One pass with sqrt(D) known to 2**-prec, or None when the intervals
     are too wide for a rigorous lower bound on the determinant.  Gram values
-    are integers over K (`_vbox_gram`)."""
+    are integers over K (`_vbox_gram`); the reduction begins at
+    `_v_basis(start)`."""
     half = D % 4 == 1
     K, G11, G12, G22 = _vbox_gram(D, S1, S2, prec)
 
@@ -215,8 +235,13 @@ def _vbox_attempt(D, S1, S2, prec):
 
     # a, b, c: twice the midpoints of gram_iv(u, u), (u, v), (v, v), updated
     # in place; exact, since an interval's endpoint sum is bilinear in (p, q)
-    u, v = (1, 0), (0, 1)
-    a, b, c = sum(G11), sum(G12), sum(G22)
+    g11, g12, g22 = sum(G11), sum(G12), sum(G22)
+
+    def gram_mid(p, q):
+        return g11 * (p[0] * q[0]) + g12 * (p[0] * q[1] + p[1] * q[0]) + g22 * (p[1] * q[1])
+
+    u, v = _v_basis(start)
+    a, b, c = gram_mid(u, u), gram_mid(u, v), gram_mid(v, v)
     for _ in range(512):
         if c < a:
             u, v, a, c = v, u, c, a
@@ -232,9 +257,13 @@ def _vbox_attempt(D, S1, S2, prec):
     A = gram_iv(u, u)
     B0 = gram_iv(u, v)
     C = gram_iv(v, v)
+    babs = max(abs(B0[0]), abs(B0[1]))
+    # every basis in the intervals is reduced (|2 B0| <= A <= C), so u is a
+    # shortest vector; F(u) > 2 leaves only the origin in F <= 2
+    if 2 * babs <= A[0] and A[1] <= C[0] and A[0] > 2 * K:
+        return [(0, 0)]
     if A[0] <= 0 or C[0] <= 0:
         return None  # A_lo*C_lo is a lower bound on A*C only for positive lows
-    babs = max(abs(B0[0]), abs(B0[1]))
     det_lo = A[0] * C[0] - babs * babs  # <= K^2 * det
     if det_lo <= 0:
         return None  # precision too low for a rigorous determinant bound
@@ -437,8 +466,11 @@ def verify_certificate(obj) -> Verdict:
         i, j = p["i"], p["j"]
         bx = 4 * (ps[i] * ps[j] + qs[i] * qs[j] * D)
         by = 4 * (ps[i] * qs[j] + ps[j] * qs[i])
+        # alpha_j = p_j + q_j*sqrt(D), the box's expected shortest vector,
+        # in {1, omega} coordinates
+        start = (ps[j] - qs[j], 2 * qs[j]) if D % 4 == 1 else (ps[j], qs[j])
         try:
-            viol = _v_violators(D, bx, by)
+            viol = _v_violators(D, bx, by, start)
         except _PrecisionExhausted as exc:
             return Verdict(False, f"pair ({i},{j}): {exc}")
         if viol:
@@ -455,10 +487,11 @@ def verify_certificate(obj) -> Verdict:
     return Verdict(True, None)
 
 
-def _v_violators(D: int, bx: int, by: int):
+def _v_violators(D: int, bx: int, by: int, start=None):
     """Nonzero c with beta ⪰ c^2, by exact comparison, for the totally
     positive beta = bx + by*sqrt(D) = 4*a_i*a_j.  The box bounds
-    sqrt(sigma_h(beta)), with sigma_2(beta) = N(beta)/sigma_1(beta)."""
+    sqrt(sigma_h(beta)), with sigma_2(beta) = N(beta)/sigma_1(beta); its
+    reduction begins at the lattice point `start`."""
     r = _vsqrt_scaled(D, 64)  # r <= 2**64 * sqrt(D) < r + 1
     nb = bx * bx - by * by * D  # N(beta) > 0: both witnesses totally positive
     hi1 = Fraction((bx << 64) + by * (r + 1), 1 << 64)
@@ -467,7 +500,7 @@ def _v_violators(D: int, bx: int, by: int):
     S2 = _sqrt_outer(Fraction(nb) / lo1, 20)
     half = D % 4 == 1
     out = []
-    for x, y in _vbox_enumerate(D, S1, S2):
+    for x, y in _vbox_enumerate(D, S1, S2, start):
         if x == 0 and y == 0:
             continue
         if half:

@@ -1,23 +1,27 @@
+import inspect
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadcert import latbox
+from quadcert import latbox, verify
 from quadcert.latbox import (
     YSCAN_LIMIT,
     box_enumerate,
     box_enumerate_gauss,
     box_enumerate_scan,
     coords_to_elem,
+    elem_to_coords,
     sqrt_embedding_bounds,
 )
 from quadcert.qarith import QuadElem
 from quadcert.qd import QD, frac_sqrt_outer
-from quadcert.verify import _vbox_enumerate
+from quadcert.verify import _PrecisionExhausted, _vbox_enumerate
 
 from .conftest import omega_basis
 
@@ -30,6 +34,10 @@ def test_omega_basis():
 def test_coords_to_elem():
     assert coords_to_elem(2, 3, -1) == QuadElem(2, 3, -1)
     assert coords_to_elem(5, 1, 1) == QuadElem(5, 3, 1, 2)  # 1 + (1+sqrt5)/2
+    for D in (2, 3, 5, 13):
+        for x in range(-3, 4):
+            for y in range(-3, 4):
+                assert elem_to_coords(coords_to_elem(D, x, y)) == (x, y)
 
 
 def _reference_in_box(D, x, y, S1, S2):
@@ -157,6 +165,67 @@ def test_engines_agree_on_random_boxes(box):
     assert (0, 0) in want
 
 
+@st.composite
+def starts(draw):
+    """Lattice points to start the reduction at: none, the origin, points on
+    an axis, small and large points of either sign, and multiples of them."""
+    kind = draw(st.sampled_from(["none", "zero", "axis", "small", "multiple", "large"]))
+    if kind == "none":
+        return None
+    if kind == "zero":
+        return (0, 0)
+    if kind == "axis":
+        k = draw(st.integers(-6, 6).filter(bool))
+        return (k, 0) if draw(st.booleans()) else (0, k)
+    bound = 2 ** 40 if kind == "large" else 30
+    x, y = draw(st.integers(-bound, bound)), draw(st.integers(-bound, bound))
+    if kind == "multiple":
+        k = draw(st.integers(2, 6))
+        x, y = k * x, k * y
+    return x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(box=scan_boxes(), start=starts())
+@example(box=(5, Fraction(4, 3), Fraction(4, 3)), start=(-4, 6))
+@example(box=(2, Fraction(1, 2), Fraction(5, 2)), start=(0, -3))
+def test_started_engines_match_the_scan(box, start):
+    """Wherever the reduction starts, both engines return the y-scan's list;
+    each engine's start basis has determinant 1 and begins with the start
+    over the gcd of its coordinates."""
+    D, S1, S2 = box
+    want = box_enumerate_scan(D, S1, S2)
+    assert box_enumerate(D, S1, S2, start) == box_enumerate(D, S1, S2) == want
+    assert _vbox_enumerate(D, S1, S2, start) == want
+    for u, v in (latbox._start_basis(start), verify._v_basis(start)):
+        assert u[0] * v[1] - u[1] * v[0] == 1
+        if start is None or start == (0, 0):
+            assert (u, v) == ((1, 0), (0, 1))
+        else:
+            g = gcd(*start)
+            assert u == (start[0] // g, start[1] // g)
+
+
+def test_start_past_the_verifiers_step_cap():
+    """A start that the reduction cannot undo within the verifier's 512
+    midpoint steps: the unit phi^1200 over Q(sqrt(5)) (Fibonacci
+    coordinates), and the same coordinates in two other fields.  The exact
+    generator still reduces and lists the box.  The verifier, whose basis is
+    then not reduced in its intervals, must not answer from its
+    shortest-vector exit (the first vector is huge, so that answer would be
+    the origin alone); it walks, and at this size finds no rigorous bound and
+    refuses the box."""
+    a, b = 0, 1
+    for _ in range(1200):
+        a, b = b, a + b
+    for D, S in ((5, Fraction(2)), (2, Fraction(3)), (13, Fraction(5, 2))):
+        want = box_enumerate_scan(D, S, S)
+        assert len(want) > 1
+        assert box_enumerate(D, S, S, (a, b)) == want
+        with pytest.raises(_PrecisionExhausted):
+            _vbox_enumerate(D, S, S, (a, b))
+
+
 def _qd_sqrt_outer(x, extra_bits):
     """Outer bound (isqrt(floor(x 2^(2e))) + 1)/2^e on sqrt(x), e = extra_bits."""
     scale = 1 << extra_bits
@@ -278,6 +347,47 @@ def walks(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def vwalks(monkeypatch):
+    """The candidates the verifier's walk tests; its exit tests none."""
+    seen = []
+    real = verify._v_in_box
+    monkeypatch.setattr(verify, "_v_in_box", lambda *c: seen.append(c) or real(*c))
+    return seen
+
+
+# a round of each engine's reduction loop (its mu), and its shortest-vector exit
+GEN_MU, VER_MU = "mu = _floor_quot(", "mu = (2 * b + a) // (2 * a)"
+EXIT = "return [(0, 0)]"
+
+
+@contextmanager
+def line_hits(fn, *texts):
+    """Per call of fn, how often the source line holding each text ran."""
+    lines, first = inspect.getsourcelines(fn)
+    where = {first + k: t for k, line in enumerate(lines) for t in texts if t in line}
+    assert sorted(where.values()) == sorted(texts)  # each text on one line
+    calls = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in where:
+            calls[-1][where[frame.f_lineno]] += 1
+        return local
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not fn.__code__:
+            return None
+        calls.append(dict.fromkeys(texts, 0))
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        yield calls
+    finally:
+        sys.settrace(old)
+
+
 def test_shortest_vector_exit(walks):
     """Sub-unit boxes whose reduced first vector u has F(u) > 2 return the
     origin without the walk.  The box S1 = 1/2, S2 = 5/2 over Q(sqrt(2)) has
@@ -296,17 +406,57 @@ def test_shortest_vector_exit(walks):
 
 
 @pytest.mark.parametrize("cert", ["cert_m2", "cert_m3"])
-def test_certificate_pair_boxes_leave_at_the_exit(cert, request, walks):
-    """Every pair box of the M = 2 and M = 3 certificates is answered by
-    the shortest-vector exit, and the pair checks are the certificate's."""
+def test_certificate_pair_boxes_leave_at_the_exit(cert, request, walks, vwalks):
+    """Every pair box of the M = 2 and M = 3 certificates, started from the
+    larger witness, takes one round of reduction (one mu) and is answered by
+    the shortest-vector exit, in the generator and in the verifier; the pair
+    checks are the certificate's.  Some verifier boxes need a second
+    precision attempt: the first finds its intervals too wide for the exit
+    and for a determinant bound, after the same one round."""
     from quadcert.certify import pair_refute
 
     cert = request.getfixturevalue(cert)
     ws = cert.witness_set
-    checks = [pair_refute(cert.D, a, b, i=i, j=j)
-              for (i, a), (j, b) in combinations(zip(ws.indices, ws.witnesses), 2)]
-    assert walks == []
+    pairs = list(combinations(zip(ws.indices, ws.witnesses), 2))
+    with line_hits(box_enumerate_gauss, GEN_MU, EXIT) as gen:
+        checks = [pair_refute(cert.D, a, b, i=i, j=j) for (i, a), (j, b) in pairs]
     assert checks == list(cert.pair_checks)
+    assert gen == [{GEN_MU: 1, EXIT: 1}] * len(pairs)
+    with line_hits(verify._vbox_attempt, VER_MU, EXIT) as ver:
+        assert verify.verify_certificate(cert.to_json()).accepted
+    assert all(h[VER_MU] == 1 for h in ver)
+    assert sum(h[EXIT] for h in ver) == len(pairs)
+    assert walks == [] and vwalks == []
+
+
+def test_verifier_exit_agrees_with_its_walk(cert_m1, monkeypatch):
+    """Boxes the verifier answers at its exit give the same list when the
+    exit cannot fire: with K scaled by 2**10 the Gram intervals claim
+    F/2**10, so the attempt walks the ellipse F <= 2**11, which holds the
+    box, and only a first vector with F > 2**11 could still exit.  The
+    exit needs the reduction proved in intervals: over Q(sqrt(5)) with
+    S1 = S2 = 1/3 the basis (1, omega) has |2 B0| = A exactly, so the
+    verifier walks that box where the exact generator exits."""
+    sub_unit = [(2, Fraction(1, 2), Fraction(1, 2)), (13, Fraction(1, 4), Fraction(3, 2))]
+    pc = cert_m1.pair_checks[0]
+    boxes = sub_unit + [(cert_m1.D, pc.s1_bound, pc.s2_bound)]
+    prec = 2 * cert_m1.D.bit_length()
+    with line_hits(verify._vbox_attempt, EXIT) as hits:
+        exits = [verify._vbox_attempt(*box, prec) for box in boxes]
+        tie = verify._vbox_attempt(5, Fraction(1, 3), Fraction(1, 3), prec)
+    assert exits == [[(0, 0)]] * len(boxes) and tie == [(0, 0)]
+    assert [h[EXIT] for h in hits] == [1] * len(boxes) + [0]
+    real = verify._vbox_gram
+
+    def scaled(*args):
+        K, G11, G12, G22 = real(*args)
+        return K << 10, G11, G12, G22
+
+    monkeypatch.setattr(verify, "_vbox_gram", scaled)
+    with line_hits(verify._vbox_attempt, EXIT) as hits:
+        walked = [verify._vbox_attempt(*box, prec) for box in sub_unit]
+    assert walked == exits[:len(sub_unit)]
+    assert all(h[EXIT] == 0 for h in hits)
 
 
 def test_box_membership_is_exact():
@@ -430,31 +580,34 @@ def test_generation_and_verifier_enumerations_agree():
             assert got == want, (D, i, j)
 
 
-def _assert_planted(D, a, b, c, walks):
-    """4ab = c^2 with c totally positive: both engines find exactly the
-    violators +-c/2 and +-c of the pair (a, b), and the generator's box is
-    walked, not answered at the shortest-vector exit."""
+def _assert_planted(D, a, b, c, walks, vwalks):
+    """4ab = c^2 with c totally positive: both engines, started from b as
+    for a certificate pair, find exactly the violators +-c/2 and +-c of the
+    pair (a, b), and both walk the box rather than answer at the
+    shortest-vector exit."""
     from quadcert.certify import pair_refute
     from quadcert.verify import _v_violators
 
     assert 4 * a * b == c * c and c.is_totally_positive()
     half = QuadElem(D, c.a, c.b, 2 * c.den)
     want = {half, -half, c, -c}
-    walked = len(walks)
+    walked, vwalked = len(walks), len(vwalks)
     assert set(pair_refute(D, a, b).violators) == want
     assert len(walks) == walked + 1
     beta = 4 * a * b
-    assert {QuadElem(D, *v) for v in _v_violators(D, beta.a, beta.b)} == want
+    assert {QuadElem(D, *v) for v in _v_violators(D, beta.a, beta.b, elem_to_coords(b))} == want
+    assert len(vwalks) > vwalked
 
 
 def _assert_boxes_around(D, c):
-    """Both engines list the totally positive c in rational boxes just
-    outside its two embeddings, and not in boxes just inside either."""
+    """Both engines, started along c, list the totally positive c in
+    rational boxes just outside its two embeddings, and not in boxes just
+    inside either."""
     from quadcert.qd import _floor_pair
 
-    # c = (A + B*sqrt(D))/2 in {1, omega} coordinates
+    # c = (A + B*sqrt(D))/2
     A, B = c.a * (2 // c.den), c.b * (2 // c.den)
-    point = ((A - B) // 2, B) if D % 4 == 1 else (A // 2, B // 2)
+    point = elem_to_coords(c)
     assert coords_to_elem(D, *point) == c
     e = max(A.bit_length(), B.bit_length()) + 64
     lo1 = Fraction(_floor_pair(A << e, B << e, 2, D), 1 << e)
@@ -463,7 +616,7 @@ def _assert_boxes_around(D, c):
     assert lo2 > 0  # sigma_2(c) >= 1/sigma_1(c) since N(c) >= 1
     for S1, S2, inside in ((hi1, hi2, True), (lo1, hi2, False), (hi1, lo2, False)):
         for engine in (box_enumerate, _vbox_enumerate):
-            assert (point in engine(D, S1, S2)) == inside, (engine.__name__, S1, S2)
+            assert (point in engine(D, S1, S2, point)) == inside, (engine.__name__, S1, S2)
 
 
 def _unit(cert):
@@ -478,22 +631,22 @@ def _unit(cert):
 
 
 @pytest.mark.parametrize("cert", ["cert_m2", "cert_m3"])
-def test_planted_violators_at_certificate_scale(cert, request, walks):
+def test_planted_violators_at_certificate_scale(cert, request, walks, vwalks):
     """Pairs with known violators at the M = 2 and M = 3 fields (972- and
     8741-bit D).  Each witness alpha planted as the pair (alpha, alpha):
     4*alpha^2 = (2*alpha)^2.  And (alpha, eps^2*alpha) for the fundamental
     unit eps, whose violator 2*eps*alpha lies far out along the box's long
-    axis: for every M = 2 witness and the first M = 3 one (about 1.4 s).
-    Boxes just inside and outside 2*alpha, and 2*eps*alpha at M = 2; at
-    M = 3 those take 7 s and run with -m slow."""
+    axis: for every M = 2 witness and the first M = 3 one.  Boxes just
+    inside and outside 2*alpha, and 2*eps*alpha at M = 2; at M = 3 those
+    take about 1.9 s and run with -m slow."""
     cert = request.getfixturevalue(cert)
     D = cert.D
     eps = _unit(cert)
     for a in cert.witness_set.witnesses:
-        _assert_planted(D, a, a, 2 * a, walks)
+        _assert_planted(D, a, a, 2 * a, walks, vwalks)
         _assert_boxes_around(D, 2 * a)
     for a in cert.witness_set.witnesses[:None if cert.M == 2 else 1]:
-        _assert_planted(D, a, eps * eps * a, 2 * eps * a, walks)
+        _assert_planted(D, a, eps * eps * a, 2 * eps * a, walks, vwalks)
         if cert.M == 2:
             _assert_boxes_around(D, 2 * eps * a)
 
@@ -501,7 +654,8 @@ def test_planted_violators_at_certificate_scale(cert, request, walks):
 @pytest.mark.slow
 def test_boxes_around_a_planted_unit_violator_at_m3(cert_m3):
     """The boxes just inside and outside 2*eps*alpha for the first M = 3
-    witness: each generator box costs about 2 s in isqrt on operands of
-    some 35,000 bits."""
+    witness, both engines started along it: each box walks, at about 0.4 s
+    in the generator and 0.3 s in the verifier on operands of some 35,000
+    bits."""
     a = cert_m3.witness_set.witnesses[0]
     _assert_boxes_around(cert_m3.D, 2 * _unit(cert_m3) * a)

@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -418,15 +419,45 @@ def attempt_boxes(draw):
     return D, S1, S2
 
 
+small_starts = st.none() | st.tuples(st.integers(-30, 30), st.integers(-30, 30))
+
+
 @settings(max_examples=200, deadline=None)
-@given(box=attempt_boxes(), prec=st.integers(2, 128))
-@example(box=(2, Fraction(18), Fraction(10, 19)), prec=11)
-@example(box=(3, Fraction(4, 7), Fraction(33, 4)), prec=7)
-def test_low_precision_attempt_is_none_or_exact(box, prec):
+@given(box=attempt_boxes(), prec=st.integers(2, 128), start=small_starts)
+@example(box=(2, Fraction(18), Fraction(10, 19)), prec=11, start=None)
+@example(box=(3, Fraction(4, 7), Fraction(33, 4)), prec=7, start=None)
+def test_low_precision_attempt_is_none_or_exact(box, prec, start):
     """Below the production precision an attempt may give up, but whatever
-    it returns is the complete box."""
-    got = verify._vbox_attempt(*box, prec)
+    it returns is the complete box, from any start."""
+    got = verify._vbox_attempt(*box, prec, start)
     assert got is None or got == box_enumerate(*box)
+
+
+@settings(max_examples=200, deadline=None)
+@given(D=st.sampled_from([2, 3, 5, 13, 17, 21]),
+       S1=st.builds(Fraction, st.integers(1, 400), st.integers(1, 40)),
+       S2=st.builds(Fraction, st.integers(1, 40), st.integers(1, 400)),
+       widen=st.lists(st.integers(0, 64), min_size=6, max_size=6), start=small_starts)
+@example(D=5, S1=Fraction(55, 6), S2=Fraction(17, 103), widen=[0, 48, 0, 0, 0, 0], start=None)
+@example(D=2, S1=Fraction(243, 26), S2=Fraction(37, 215), widen=[0, 0, 0, 61, 0, 0], start=None)
+def test_attempt_on_wider_intervals_is_none_or_exact(D, S1, S2, widen, start):
+    """Gram intervals widened by up to one unit of F on either side still
+    enclose the exact entries, so the attempt must give up or return the
+    complete box.  Widening moves the midpoints the reduction uses; in the
+    two examples the basis it ends with is size-reduced but not provably
+    ordered (A_hi > C_lo) while the true shortest vector lies in the box, so
+    an exit that skipped the interval ordering test would answer the
+    origin alone."""
+    real = verify._vbox_gram
+
+    def wider(*args):
+        K, *grams = real(*args)
+        w = [K * x // 64 for x in widen]
+        return (K, *((lo - w[2 * h], hi + w[2 * h + 1]) for h, (lo, hi) in enumerate(grams)))
+
+    with mock.patch.object(verify, "_vbox_gram", wider):
+        got = verify._vbox_attempt(D, S1, S2, 64, start)
+    assert got is None or got == box_enumerate(D, S1, S2)
 
 
 def test_precision_cap_follows_D(monkeypatch):
@@ -437,9 +468,9 @@ def test_precision_cap_follows_D(monkeypatch):
     real = verify._vbox_attempt
     tried = []
 
-    def attempt(D, S1, S2, prec):
+    def attempt(D, S1, S2, prec, start):
         tried.append(prec)
-        return None if prec < 3 * D.bit_length() else real(D, S1, S2, prec)
+        return None if prec < 3 * D.bit_length() else real(D, S1, S2, prec, start)
 
     monkeypatch.setattr(verify, "_vbox_attempt", attempt)
     assert verify._vbox_enumerate(D, S1, S2) == [(-1, 0), (0, 0), (1, 0)]
@@ -447,7 +478,7 @@ def test_precision_cap_follows_D(monkeypatch):
 
 
 def test_precision_cap_rejects_without_traceback(cert_m1, monkeypatch):
-    monkeypatch.setattr(verify, "_vbox_attempt", lambda D, S1, S2, prec: None)
+    monkeypatch.setattr(verify, "_vbox_attempt", lambda D, S1, S2, prec, start: None)
     v = verify_certificate(cert_m1.to_json())
     assert not v.accepted and "no rigorous bound" in v.reason
 
